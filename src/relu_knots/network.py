@@ -178,7 +178,8 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
 
 @dataclass(frozen=True, slots=True)
 class KnotReport:
-    """Knot locations and counts, compared against the architectural bound."""
+    """Knot locations and counts, compared against the architectural bound,
+    with the output splines they were read from."""
 
     per_layer_knots: tuple[tuple[Rational, ...], ...]
     per_layer_counts: tuple[int, ...]
@@ -188,6 +189,7 @@ class KnotReport:
     bound: int
     meets_bound: bool
     tightness: Tightness
+    output_splines: VectorSpline
 
 
 def knot_report(net: ScalarInputNetwork) -> KnotReport:
@@ -204,4 +206,5 @@ def knot_report(net: ScalarInputNetwork) -> KnotReport:
         bound=bound,
         meets_bound=len(output_union) == bound,
         tightness=tightness_eligibility(arch),
+        output_splines=trace.output_splines,
     )

@@ -74,6 +74,26 @@ class TestBuild:
         assert payload["output_knot_count"] == 47
         assert payload["meets_bound"] is True
 
+    def test_one_extraction_per_command(self, tmp_path, monkeypatch, capsys):
+        import relu_knots.cli as cli_mod
+        import relu_knots.construct as construct_mod
+        import relu_knots.network as network_mod
+
+        real_extract = network_mod.extract
+        calls = []
+
+        def counting_extract(net):
+            calls.append(net.widths)
+            return real_extract(net)
+
+        for module in (cli_mod, construct_mod, network_mod):
+            monkeypatch.setattr(module, "extract", counting_extract, raising=False)
+        out_file = tmp_path / "net.json"
+        assert main(["build", "3", "2", "--out", str(out_file)]) == 0
+        assert len(calls) == 1
+        assert main(["analyze", str(out_file), "--csv", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) == 2
+
     def test_stdout_json_when_no_out(self, capsys):
         assert main(["build", "4"]) == 0
         captured = capsys.readouterr()
@@ -301,6 +321,10 @@ class TestVerify:
     def test_undersampling_exits_4(self, reference_file, capsys):
         # Grid too coarse to separate the knots: counts cannot match.
         assert main(["verify", reference_file, "--samples", "41"]) == 4
+        err = capsys.readouterr().err
+        assert "too coarse" in err
+        assert "(0.0238)" in err  # smallest gap between exact knots, 1/42
+        assert "--samples 884 or more" in err
 
     def test_malformed_interval_exits_2(self, reference_file, capsys):
         assert main(["verify", reference_file, "--interval", "a", "b"]) == 2
@@ -319,6 +343,7 @@ class TestVerify:
         assert main(["verify", str(path), "--samples", "1001", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["detected"] == payload["exact"] == 0
+        assert payload["exact_outside_interval"] == 0
         assert payload["agree"] is True
 
 

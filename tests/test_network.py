@@ -184,6 +184,7 @@ class TestKnotReport:
         assert report.tightness is Tightness.TIGHT
         assert len(report.per_output_knots) == 2
         assert all(len(k) == 83 for k in report.per_output_knots)
+        assert report.output_splines == extract(example_tight_network()).output_splines
 
     def test_zero_weight_network_has_no_knots(self):
         layer = DenseLayer(((Q(0),), (Q(0),)), (Q(1), Q(2)))

@@ -19,9 +19,83 @@ from relu_knots import (
     relu,
     stress_bound,
 )
-from relu_knots.construct import build_first_layer_sawtooth
+from relu_knots.construct import build_first_layer_sawtooth, example_tight_network
 from relu_knots.spline import LinearSpline
-from relu_knots.verify import oracle_agreement, random_network
+from relu_knots.verify import (
+    BLOCK,
+    _float_forward,
+    _grid_points,
+    oracle_agreement,
+    random_network,
+)
+
+
+def reference_outputs(net: ScalarInputNetwork, xs: list[float]) -> list[list[float]]:
+    """The float forward pass one sample at a time, each weighted sum added
+    left to right from 0 (what ``sum`` does with floats before Python 3.12)."""
+
+    def dot(row, signal):
+        total = 0
+        for w, v in zip(row, signal):
+            total += w * v
+        return total
+
+    layers = [
+        ([[float(w) for w in row] for row in layer.weights], [float(b) for b in layer.biases])
+        for layer in net.hidden_layers
+    ]
+    out_w = [[float(w) for w in row] for row in net.output_layer.weights]
+    out_b = [float(b) for b in net.output_layer.biases]
+    outputs: list[list[float]] = [[] for _ in out_w]
+    for x in xs:
+        signal = [x]
+        for weights, biases in layers:
+            signal = [max(0.0, dot(row, signal) + b) for row, b in zip(weights, biases)]
+        for k, (row, b) in enumerate(zip(out_w, out_b)):
+            outputs[k].append(dot(row, signal) + b)
+    return outputs
+
+
+def reference_detections(net: ScalarInputNetwork, cfg: SamplingConfig) -> list[float]:
+    """The sampling detector one sample at a time over a Fraction grid."""
+    low, high = cfg.interval
+    n = cfg.samples
+    h = (high - low) / (n - 1)
+    xs = [float(low + i * h) for i in range(n)]
+    outputs = reference_outputs(net, xs)
+
+    flagged = [False] * n
+    for ys in outputs:
+        scale = max(abs(y) for y in ys)
+        threshold = cfg.slope_change_tolerance * scale
+        for i in range(1, n - 1):
+            if abs(ys[i + 1] - 2.0 * ys[i] + ys[i - 1]) > threshold:
+                flagged[i] = True
+
+    detections: list[float] = []
+    i = 1
+    while i < n - 1:
+        if flagged[i]:
+            start = i
+            while i + 1 < n - 1 and flagged[i + 1]:
+                i += 1
+            detections.append((xs[start] + xs[i]) / 2.0)
+        i += 1
+    return detections
+
+
+def seeded_networks() -> list[ScalarInputNetwork]:
+    """Random networks of depth 1-3 and 1-3 outputs, knots spread over [-5, 5]."""
+    rng = random.Random(20240)
+    nets = []
+    for depth in (1, 2, 3, 1, 2, 3):
+        widths = tuple(rng.randint(1, 3) for _ in range(depth))
+        arch = Architecture(widths, output_dim=rng.randint(1, 3))
+        nets.append(random_network(rng, arch, max_numerator=10, max_denominator=3))
+    return nets
+
+
+ODD_INTERVALS = [(Q(-7, 3), Q(11, 5)), (Q(-5), Q(3, 7)), (Q(1, 9), Q(13, 3))]
 
 
 def ramp_net() -> ScalarInputNetwork:
@@ -72,6 +146,68 @@ class TestDetection:
             SamplingConfig((Q(0), Q(1)), samples=2)
         with pytest.raises(ValueError):
             SamplingConfig((Q(0), Q(1)), slope_change_tolerance=-1.0)
+
+
+class TestBlockPass:
+    """The block-wise oracle against the same oracle one sample at a time."""
+
+    @pytest.mark.parametrize("samples", [3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    def test_detections_match_per_sample_reference(self, samples):
+        found = 0
+        for k, net in enumerate(seeded_networks()):
+            cfg = SamplingConfig(ODD_INTERVALS[k % len(ODD_INTERVALS)], samples=samples)
+            detections = detect_knots_by_sampling(net, cfg)
+            assert detections == reference_detections(net, cfg)
+            found += len(detections)
+        assert found > 0 or samples == 3
+
+    def test_block_values_are_bit_identical(self):
+        xs = [float(Q(-7, 3) + Q(i, 97)) for i in range(433)]
+        for net in seeded_networks():
+            layers = [
+                ([[float(w) for w in row] for row in layer.weights],
+                 [float(b) for b in layer.biases])
+                for layer in (*net.hidden_layers, net.output_layer)
+            ]
+            block = _float_forward(layers, xs)
+            reference = reference_outputs(net, xs)
+            assert [list(map(float.hex, ys)) for ys in block] == [
+                list(map(float.hex, ys)) for ys in reference
+            ]
+
+    @pytest.mark.parametrize("interval", ODD_INTERVALS)
+    def test_integer_grid_is_the_rounded_fraction_grid(self, interval):
+        for samples in (3, BLOCK + 1, 2 * BLOCK + 7):
+            cfg = SamplingConfig(interval, samples=samples)
+            low, high = cfg.interval
+            h = (high - low) / (samples - 1)
+            grid = [float(low + i * h) for i in range(samples)]
+            assert _grid_points(cfg, 0, samples) == grid
+            assert _grid_points(cfg, 1, samples - 1) == grid[1:-1]
+
+
+class TestOracleReport:
+    def test_counts_exact_knots_outside_interval(self):
+        net = example_tight_network()
+        report = oracle_agreement(net, SamplingConfig((Q(0), Q(1)), samples=5001))
+        assert len(report.exact) == 13
+        assert report.exact_outside_interval == 83 - 13
+        assert "70 exact outside the interval" in report.summary()
+        # the knots at 0 and 1 sit on the grid's end points, where no second
+        # difference is taken
+        assert report.exact[0] == 0 and report.exact[-1] == 1
+        assert len(report.detected) == 11
+
+    def test_coarse_grid_names_gap_and_samples(self):
+        net = example_tight_network()
+        report = oracle_agreement(net, SamplingConfig((Q(-1), Q(6)), samples=41))
+        assert not report.counts_match
+        assert report.min_knot_gap == Q(1, 42)
+        # smallest n with step 7/(n - 1) below a third of 1/42
+        assert report.samples_needed == 884
+        fine = oracle_agreement(net, SamplingConfig((Q(-1), Q(6)), samples=884))
+        assert fine.agree
+        assert fine.min_knot_gap is None and fine.samples_needed is None
 
 
 class TestCheckSawtooth:
