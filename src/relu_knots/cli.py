@@ -38,7 +38,7 @@ from .jsonio import SchemaError, load_network, network_to_dict, save_network
 from .network import ScalarInputNetwork, evaluate, knot_report
 from .rational import Rational, decimal_str, format_rational, parse_rational
 from .spline import LinearSpline
-from .verify import SamplingConfig, oracle_agreement, stress_bound
+from .verify import AgreementReport, SamplingConfig, oracle_agreement, stress_bound
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -322,16 +322,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"({stress_info['note']})"
                 )
     if not agreement.agree:
-        message = "sampling oracle disagrees with exact extraction"
-        if agreement.samples_needed is not None:
+        raise _CliError(_mismatch_message(agreement, cfg), EXIT_MISMATCH)
+    return EXIT_OK
+
+
+def _mismatch_message(agreement: AgreementReport, cfg: SamplingConfig) -> str:
+    """The exit-4 message, with the reason the oracle missed knots when it
+    is one of the two the detector's docstring names."""
+    message = "sampling oracle disagrees with exact extraction"
+    if agreement.counts_match:
+        return message
+    low, high = cfg.interval
+    exact = agreement.exact
+    on_ends = sum(1 for x in exact if x == low or x == high)
+    if on_ends:  # no sample count helps here
+        return message + (
+            f": {on_ends} exact knot(s) on the end points of the interval, where "
+            f"the grid takes no second difference; widen --interval to cover them"
+        )
+    if len(exact) > 1:
+        gap = min(b - a for a, b in zip(exact, exact[1:]))
+        if gap * (cfg.samples - 1) <= 3 * (high - low):
+            # smallest n whose step (high - low) / (n - 1) is below gap / 3
+            needed = int(3 * (high - low) // gap) + 2
             message += (
                 f": the grid is too coarse, the smallest gap between exact knots "
-                f"({float(agreement.min_knot_gap):.3g}) is at most three grid steps "
-                f"({3 * agreement.grid_step:.3g}); --samples {agreement.samples_needed} "
+                f"({float(gap):.3g}) is at most three grid steps "
+                f"({3 * agreement.grid_step:.3g}); --samples {needed} "
                 f"or more separates them"
             )
-        raise _CliError(message, EXIT_MISMATCH)
-    return EXIT_OK
+    return message
 
 
 def cmd_canonicalize(args: argparse.Namespace) -> int:

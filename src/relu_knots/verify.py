@@ -48,18 +48,28 @@ class SamplingConfig:
 BLOCK = 2048  # grid points per block of the float forward pass
 
 
+def _float_layers(net: ScalarInputNetwork) -> list[tuple[list[list[float]], list[float]]]:
+    """Float weights and biases of every hidden layer, then of the output layer."""
+    return [
+        ([[float(w) for w in row] for row in layer.weights], [float(b) for b in layer.biases])
+        for layer in (*net.hidden_layers, net.output_layer)
+    ]
+
+
 def _float_forward(
     layers: list[tuple[list[list[float]], list[float]]], xs: list[float]
 ) -> list[list[float]]:
     """Plain-float forward pass over one block of grid points.
 
-    ``layers`` holds the float weights and biases of every hidden layer and
-    then of the output layer; the result is one value list per output. The
-    pass runs one layer at a time over the whole block, yet every value gets
-    the float operations a pass at a single point would make, in the same
-    order: the weighted inputs added left to right, then the bias, then
-    relu on hidden units. So the values are bit-identical for any block size
-    and to a pass that evaluates one sample at a time.
+    ``layers`` comes from ``_float_layers``; the result is one value list per
+    output. The pass runs one layer at a time over the whole block, yet every
+    value gets the float operations a pass at a single point would make, in
+    the same order: the weighted inputs added left to right, then the bias,
+    then relu on hidden units. So the values are bit-identical for any block
+    size and to a pass that evaluates one sample at a time with plain
+    left-to-right addition, which is what the earlier per-sample pass did
+    through ``sum`` on Python < 3.12 (from 3.12 ``sum`` compensates floats,
+    so there the two can differ in the last bits).
     """
     *hidden, (out_w, out_b) = layers
     signal = [xs]
@@ -88,13 +98,16 @@ def _grid_points(cfg: SamplingConfig, first: int, last: int) -> list[float]:
     (samples - 1). For low = a/b and high = c/d it is one int division,
     (a*d*(samples - 1) + i*(c*b - a*d)) / (b*d*(samples - 1)), which Python
     rounds correctly: the same float as ``float(low + i*h)`` in exact
-    rationals, at a fraction of the cost.
+    rationals, at a fraction of the cost. The parts are taken as Python ints
+    whatever the rational backend, so the points are always Python floats.
     """
     low, high = cfg.interval
+    a, b = int(low.numerator), int(low.denominator)
+    c, d = int(high.numerator), int(high.denominator)
     lengths = cfg.samples - 1
-    start = low.numerator * high.denominator * lengths
-    step = high.numerator * low.denominator - low.numerator * high.denominator
-    den = low.denominator * high.denominator * lengths
+    start = a * d * lengths
+    step = c * b - a * d
+    den = b * d * lengths
     return [t / den for t in range(start + first * step, start + last * step, step)]
 
 
@@ -109,12 +122,17 @@ def detect_knots_by_sampling(
     single detection at their midpoint. Detection is complete only when true
     knots are separated by more than three grid steps: a knot inside a grid
     cell flags the points at both ends of the cell, and two knots' flags
-    merge unless an unflagged point lies between them.
+    merge unless an unflagged point lies between them. A knot on an end
+    point of the interval is never detected: second differences are taken
+    only at interior grid points.
 
     The grid points come from ``_grid_points``. The network runs over
     blocks of ``BLOCK`` of them, one layer at a time (``_float_forward``),
     with the float operations of a pass at one point in the same order, so
-    the values and the detections do not depend on the blocks. Only each
+    the values and the detections do not depend on the blocks. Each point is
+    one correctly rounded int division, and each weighted sum is added left
+    to right: the floats of the earlier per-sample pass on Python < 3.12,
+    whose ``sum`` did the same (see ``_float_forward``). Only each
     output's values over the grid are kept, because its threshold needs its
     largest magnitude.
     """
@@ -123,10 +141,7 @@ def detect_knots_by_sampling(
     from array import array
 
     n = cfg.samples
-    layers = [
-        ([[float(w) for w in row] for row in layer.weights], [float(b) for b in layer.biases])
-        for layer in (*net.hidden_layers, net.output_layer)
-    ]
+    layers = _float_layers(net)
     outputs = [array("d") for _ in range(net.output_dim)]
     for first in range(0, n, BLOCK):
         xs = _grid_points(cfg, first, min(first + BLOCK, n))
@@ -144,8 +159,9 @@ def detect_knots_by_sampling(
     i = flagged.find(1)
     while i >= 0:
         end = flagged.find(0, i)  # flagged[n - 1] is never set
-        run = _grid_points(cfg, i, end)
-        detections.append((run[0] + run[-1]) / 2.0)
+        first_point = _grid_points(cfg, i, i + 1)[0]
+        last_point = _grid_points(cfg, end - 1, end)[0]
+        detections.append((first_point + last_point) / 2.0)
         i = flagged.find(1, end)
     return detections
 
@@ -155,12 +171,7 @@ class AgreementReport:
     """Sampling detections compared against exact extraction, knot by knot.
 
     ``exact`` holds the exact knots inside the sampled interval; the
-    ``exact_outside_interval`` others are not compared. When the counts
-    differ and the smallest gap between consecutive exact knots is at most
-    three grid steps, the grid is too coarse to separate them (see
-    ``detect_knots_by_sampling``): ``min_knot_gap`` is that gap and
-    ``samples_needed`` the smallest sample count whose grid step is below a
-    third of it. Otherwise both are None.
+    ``exact_outside_interval`` others are not compared.
     """
 
     detected: tuple[float, ...]
@@ -170,8 +181,6 @@ class AgreementReport:
     counts_match: bool
     max_location_error: float | None
     agree: bool
-    min_knot_gap: Rational | None
-    samples_needed: int | None
 
     def summary(self) -> str:
         status = "agree" if self.agree else "MISMATCH"
@@ -199,12 +208,6 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
         errors = [abs(d - float(e)) for d, e in zip(detected, exact)]
         max_error = max(errors)
         agree = max_error <= cfg.grid_step
-    min_gap = samples_needed = None
-    if not counts_match and len(exact) > 1:
-        gap = min(b - a for a, b in zip(exact, exact[1:]))
-        if gap * (cfg.samples - 1) <= 3 * (high - low):
-            min_gap = gap
-            samples_needed = 3 * (high - low) // gap + 2
     return AgreementReport(
         detected=detected,
         exact=exact,
@@ -213,8 +216,6 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
         counts_match=counts_match,
         max_location_error=max_error,
         agree=agree,
-        min_knot_gap=min_gap,
-        samples_needed=samples_needed,
     )
 
 

@@ -325,6 +325,17 @@ class TestVerify:
         assert "too coarse" in err
         assert "(0.0238)" in err  # smallest gap between exact knots, 1/42
         assert "--samples 884 or more" in err
+        # the count the message names is enough
+        assert main(["verify", reference_file, "--samples", "884"]) == 0
+
+    def test_knots_on_end_points_name_no_sample_count(self, reference_file, capsys):
+        # the reference network has knots at 0 and 1, which the grid's end
+        # points can never detect, however many samples it takes
+        args = ["verify", reference_file, "--interval", "0", "1", "--samples", "5001"]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "2 exact knot(s) on the end points" in err
+        assert "--samples" not in err
 
     def test_malformed_interval_exits_2(self, reference_file, capsys):
         assert main(["verify", reference_file, "--interval", "a", "b"]) == 2
