@@ -13,6 +13,7 @@ which there are m + 1; the recurrence is that budget per layer.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -21,16 +22,14 @@ class Tightness(enum.Enum):
 
     TIGHT = "tight"
     NOT_TIGHT = "not_tight"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True, slots=True)
 class Architecture:
-    """Hidden-layer widths plus input/output dimensions of a dense network."""
+    """Hidden-layer widths plus output dimension of a dense scalar-input network."""
 
     widths: tuple[int, ...]
     output_dim: int = 1
-    input_dim: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "widths", tuple(int(n) for n in self.widths))
@@ -38,19 +37,10 @@ class Architecture:
             raise ValueError(f"widths must be positive: {self.widths}")
         if self.output_dim < 1:
             raise ValueError("output_dim must be positive")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
 
     @property
     def depth(self) -> int:
         return len(self.widths)
-
-
-def _require_scalar_input(arch: Architecture) -> None:
-    if arch.input_dim != 1:
-        raise ValueError(
-            f"knot bounds are defined for scalar inputs only (input_dim = {arch.input_dim})"
-        )
 
 
 def recurrence_step(m_prev: int, n_i: int) -> int:
@@ -64,7 +54,6 @@ def recurrence_step(m_prev: int, n_i: int) -> int:
 
 def bound_prefixes(arch: Architecture) -> list[int]:
     """Per-layer bounds m_1, ..., m_l obtained by folding the recurrence."""
-    _require_scalar_input(arch)
     prefixes: list[int] = []
     m = 0
     for n in arch.widths:
@@ -75,67 +64,51 @@ def bound_prefixes(arch: Architecture) -> list[int]:
 
 def knot_bound(arch: Architecture) -> int:
     """Exact maximum number of knots any network of this shape can produce."""
-    _require_scalar_input(arch)
-    widths = arch.widths
     total = 0
     trailing = 1  # product of (n_j + 1) for j > i, accumulated right to left
-    for n in reversed(widths):
+    for n in reversed(arch.widths):
         total += n * trailing
         trailing *= n + 1
-    assert total == bound_prefixes(arch)[-1]
     return total
 
 
 def approx_bound(arch: Architecture) -> int:
     """Product of the widths; the leading term of the exact bound."""
-    _require_scalar_input(arch)
-    product = 1
-    for n in arch.widths:
-        product *= n
-    return product
+    return math.prod(arch.widths)
 
 
 def param_count(arch: Architecture) -> int:
     """Number of scalar weights and biases in a dense network of this shape."""
     widths = arch.widths
-    total = (arch.input_dim + 1) * widths[0]
+    total = 2 * widths[0]
     for n_in, n_out in zip(widths, widths[1:]):
         total += (n_in + 1) * n_out
     total += (widths[-1] + 1) * arch.output_dim
     return total
 
 
-def tightness_eligibility(arch: Architecture) -> Tightness:
-    """Classify whether some network of this shape attains the exact bound.
+def tightness_eligibility(arch: Architecture) -> tuple[Tightness, str | None]:
+    """Whether some network of this shape attains the exact bound, and if
+    not, the reason.
 
     One hidden layer is always attainable: distinct knot locations suffice.
     Deeper networks need every non-final layer to support a sawtooth (width
     at least 3) and a final layer that can both keep and create knots (width
-    at least 2). Any deep architecture failing that is unattainable; UNKNOWN
-    is kept defensively for cases outside both classifications.
+    at least 2). The reason names the first layer that falls short, and it
+    is None exactly when the verdict is TIGHT.
     """
-    widths = arch.widths
-    if len(widths) == 1:
-        return Tightness.TIGHT
-    if all(n >= 3 for n in widths[:-1]) and widths[-1] >= 2:
-        return Tightness.TIGHT
-    if any(n < 3 for n in widths[:-1]) or widths[-1] == 1:
-        return Tightness.NOT_TIGHT
-    return Tightness.UNKNOWN
-
-
-def ineligibility_reason(arch: Architecture) -> str | None:
-    """Human-readable reason the bound is unattainable, or None if it is not."""
-    if tightness_eligibility(arch) is not Tightness.NOT_TIGHT:
-        return None
-    widths = arch.widths
-    for i, n in enumerate(widths[:-1], start=1):
+    *early, last = arch.widths
+    if not early:
+        return Tightness.TIGHT, None
+    for i, n in enumerate(early, start=1):
         if n < 3:
-            return (
+            return Tightness.NOT_TIGHT, (
                 f"layer {i} has width {n} < 3: no affine combination of fewer than "
                 "three units can alternate slope signs across every piece"
             )
-    return (
-        "final layer has width 1: a single unit cannot keep all incoming knots "
-        "while also creating new ones"
-    )
+    if last == 1:
+        return Tightness.NOT_TIGHT, (
+            "final layer has width 1: a single unit cannot keep all incoming knots "
+            "while also creating new ones"
+        )
+    return Tightness.TIGHT, None

@@ -19,15 +19,14 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 from .bounds import (
     Architecture,
     approx_bound,
     bound_prefixes,
-    ineligibility_reason,
     knot_bound,
     param_count,
     tightness_eligibility,
@@ -36,7 +35,7 @@ from .canonical import eval_canonical, to_forward_facing
 from .construct import build_tight_network
 from .jsonio import SchemaError, load_network, network_to_dict, save_network
 from .network import ScalarInputNetwork, evaluate, knot_report
-from .rational import Rational, decimal_str, format_rational, parse_rational
+from .rational import Rational, decimal_str, format_rational, make_rational, parse_rational
 from .spline import LinearSpline
 from .verify import AgreementReport, SamplingConfig, oracle_agreement, stress_bound
 
@@ -45,43 +44,6 @@ EXIT_INPUT = 2
 EXIT_INELIGIBLE = 3
 EXIT_MISMATCH = 4
 EXIT_DEPTH = 5
-
-
-@dataclass(frozen=True, slots=True)
-class KnotRecord:
-    x: Rational
-    value: Rational
-    left_slope: Rational
-    right_slope: Rational
-
-
-@dataclass(frozen=True, slots=True)
-class SplineExport:
-    """One output spline flattened to knot records plus its two infinite rays.
-
-    Rays are (slope, intercept) with the intercept taken at x = 0, so the
-    export alone reconstructs the function everywhere.
-    """
-
-    output_index: int
-    records: tuple[KnotRecord, ...]
-    initial_ray: tuple[Rational, Rational]
-    final_ray: tuple[Rational, Rational]
-
-    @classmethod
-    def from_spline(cls, index: int, f: LinearSpline) -> SplineExport:
-        slopes = f.piece_slopes()
-        values = f.knot_values()
-        records = tuple(
-            KnotRecord(x, values[i], slopes[i], slopes[i + 1])
-            for i, (x, _) in enumerate(f.breakpoints)
-        )
-        if records:
-            last = records[-1]
-            final_ray = (slopes[-1], last.value - slopes[-1] * last.x)
-        else:
-            final_ray = (f.initial_slope, f.initial_intercept)
-        return cls(index, records, (f.initial_slope, f.initial_intercept), final_ray)
 
 
 CSV_COLUMNS = [
@@ -95,52 +57,43 @@ CSV_COLUMNS = [
 ]
 
 
-def write_spline_csv(exports: list[SplineExport], path: str | Path) -> None:
+def write_spline_csv(splines: Iterable[LinearSpline], path: str | Path) -> None:
     """CSV with one row per knot and two ray rows (x = -inf / +inf) per output.
 
     Ray rows carry the ray's slope in both slope columns and the ray line's
-    value at x = 0 in the value columns.
+    value at x = 0 in the value columns, so the CSV alone reconstructs the
+    function everywhere.
     """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for export in exports:
-            slope, intercept = export.initial_ray
-            writer.writerow(
-                [
-                    export.output_index,
-                    "-inf",
-                    "-inf",
-                    format_rational(intercept),
-                    decimal_str(intercept),
-                    format_rational(slope),
-                    format_rational(slope),
-                ]
+        for k, f in enumerate(splines):
+            slopes = f.piece_slopes()
+            values = f.knot_values()
+            if values:
+                final_intercept = values[-1] - slopes[-1] * f.breakpoints[-1][0]
+            else:
+                final_intercept = f.initial_intercept
+            rows = chain(
+                [("-inf", "-inf", f.initial_intercept, slopes[0], slopes[0])],
+                (
+                    (format_rational(x), decimal_str(x), value, left, right)
+                    for x, value, left, right in zip(f.knots(), values, slopes, slopes[1:])
+                ),
+                [("+inf", "inf", final_intercept, slopes[-1], slopes[-1])],
             )
-            for rec in export.records:
+            for x_rational, x_decimal, value, left, right in rows:
                 writer.writerow(
                     [
-                        export.output_index,
-                        format_rational(rec.x),
-                        decimal_str(rec.x),
-                        format_rational(rec.value),
-                        decimal_str(rec.value),
-                        format_rational(rec.left_slope),
-                        format_rational(rec.right_slope),
+                        k,
+                        x_rational,
+                        x_decimal,
+                        format_rational(value),
+                        decimal_str(value),
+                        format_rational(left),
+                        format_rational(right),
                     ]
                 )
-            slope, intercept = export.final_ray
-            writer.writerow(
-                [
-                    export.output_index,
-                    "+inf",
-                    "inf",
-                    format_rational(intercept),
-                    decimal_str(intercept),
-                    format_rational(slope),
-                    format_rational(slope),
-                ]
-            )
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -176,15 +129,15 @@ def _input_error(message: str) -> _CliError:
 def _load(path: str) -> ScalarInputNetwork:
     try:
         return load_network(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise _input_error(f"{path}: {exc.strerror}") from exc
     except SchemaError as exc:
         raise _input_error(f"{path}: {exc}") from exc
 
 
-def _random_rational_points(rng: random.Random, count: int) -> list[Fraction]:
+def _random_rational_points(rng: random.Random, count: int) -> list[Rational]:
     return [
-        Fraction(rng.randint(-1000, 1000), rng.randint(1, 100)) for _ in range(count)
+        make_rational(rng.randint(-1000, 1000), rng.randint(1, 100)) for _ in range(count)
     ]
 
 
@@ -197,7 +150,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "per_layer_bounds": bound_prefixes(arch),
         "approx_bound": approx_bound(arch),
         "param_count": param_count(arch),
-        "tightness": tightness_eligibility(arch).value,
+        "tightness": tightness_eligibility(arch)[0].value,
     }
     if args.json:
         print(json.dumps(report, indent=2))
@@ -213,7 +166,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     arch = Architecture(_parse_widths(args.widths), output_dim=args.p)
-    reason = ineligibility_reason(arch)
+    _, reason = tightness_eligibility(arch)
     if reason is not None:
         raise _CliError(
             f"cannot attain the bound for widths {list(arch.widths)}: {reason}",
@@ -235,10 +188,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     net = _load(args.network)
     report = knot_report(net)
     if args.csv:
-        exports = [
-            SplineExport.from_spline(k, f) for k, f in enumerate(report.output_splines)
-        ]
-        write_spline_csv(exports, args.csv)
+        write_spline_csv(report.output_splines, args.csv)
     payload = {
         "widths": list(net.widths),
         "p": net.output_dim,
@@ -273,17 +223,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     net = _load(args.network)
     seed = _resolve_seed(args)
+    interval = (-1, net.widths[0])
     if args.interval:
         try:
-            low, high = (parse_rational(s) for s in args.interval)
+            interval = tuple(parse_rational(s) for s in args.interval)
         except ValueError as exc:
             raise _input_error(str(exc)) from exc
-    else:
-        low, high = Fraction(-1), Fraction(net.widths[0])
     try:
-        cfg = SamplingConfig((low, high), samples=args.samples)
+        cfg = SamplingConfig(interval, samples=args.samples)
     except ValueError as exc:
         raise _input_error(str(exc)) from exc
+    low, high = cfg.interval
     agreement = oracle_agreement(net, cfg)
     payload: dict = {
         "interval": [format_rational(low), format_rational(high)],
@@ -327,19 +277,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _mismatch_message(agreement: AgreementReport, cfg: SamplingConfig) -> str:
-    """The exit-4 message, with the reason the oracle missed knots when it
-    is one of the two the detector's docstring names."""
+    """The exit-4 message, naming the sample count that separates the exact
+    knots when the grid is too coarse for them."""
     message = "sampling oracle disagrees with exact extraction"
     if agreement.counts_match:
         return message
     low, high = cfg.interval
     exact = agreement.exact
-    on_ends = sum(1 for x in exact if x == low or x == high)
-    if on_ends:  # no sample count helps here
-        return message + (
-            f": {on_ends} exact knot(s) on the end points of the interval, where "
-            f"the grid takes no second difference; widen --interval to cover them"
-        )
     if len(exact) > 1:
         gap = min(b - a for a, b in zip(exact, exact[1:]))
         if gap * (cfg.samples - 1) <= 3 * (high - low):

@@ -14,27 +14,19 @@ knot count is actually reached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .bounds import (
-    Architecture,
-    Tightness,
-    ineligibility_reason,
-    knot_bound,
-    recurrence_step,
-    tightness_eligibility,
-)
+from .bounds import Architecture, knot_bound, recurrence_step, tightness_eligibility
 from .network import DenseLayer, ScalarInputNetwork, extract
-from .rational import Rational, as_rational
+from .rational import Rational, RationalLike, as_rational, make_rational
 from .spline import LinearSpline, VectorSpline, affine_combine
 
 # Output-layer magnification of the last sawtooth; any positive value works,
 # this one matches the bundled reference network.
-FINAL_LAYER_SCALE = Fraction(7)
+FINAL_LAYER_SCALE = 7
 
 # Heights of the first sawtooth's valleys and peaks, fixed by the first-layer
 # parameters below (the x2 weight scaling makes the wave span exactly 1).
-_FIRST_RANGE = (Fraction(4), Fraction(5))
+_FIRST_RANGE = (4, 5)
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,16 +60,16 @@ class SawtoothWitness:
         return affine_combine(zip(self.combination_weights, units))
 
 
-def _alternating_weights(n: int) -> list[Rational]:
+def _alternating_weights(n: int) -> list[RationalLike]:
     # 3/2, -1, 1, -1, 1, ...: cumulative sums walk -1 -> 1/2 -> -1/2 -> 1/2 ...
     weights = []
     for k in range(1, n + 1):
         if k == 1:
-            weights.append(Fraction(3, 2))
+            weights.append(make_rational(3, 2))
         elif k % 2 == 0:
-            weights.append(Fraction(-1))
+            weights.append(-1)
         else:
-            weights.append(Fraction(1))
+            weights.append(1)
     return weights
 
 
@@ -90,12 +82,8 @@ def build_first_layer_sawtooth(n1: int) -> tuple[DenseLayer, SawtoothWitness]:
     """
     if n1 < 3:
         raise ValueError(f"a sawtooth needs at least 3 first-layer units, got {n1}")
-    weights = tuple(
-        (Fraction(-1),) if j == 3 else (Fraction(1),) for j in range(1, n1 + 1)
-    )
-    biases = tuple(
-        Fraction(j - 1) if j == 3 else Fraction(-(j - 1)) for j in range(1, n1 + 1)
-    )
+    weights = tuple((-1,) if j == 3 else (1,) for j in range(1, n1 + 1))
+    biases = tuple(j - 1 if j == 3 else -(j - 1) for j in range(1, n1 + 1))
     alphas = tuple(2 * a for a in _alternating_weights(n1))
     witness = SawtoothWitness(alphas, n1, _FIRST_RANGE)
     return DenseLayer(weights, biases), witness
@@ -123,13 +111,13 @@ def build_inductive_layer(
     weights = []
     biases = []
     for k in range(1, n_i + 1):
-        sign = Fraction(-1) if k == 3 else Fraction(1)
+        sign = -1 if k == 3 else 1
         weights.append(tuple(sign * a / span for a in prev.combination_weights))
-        biases.append(-sign * (low / span + Fraction(2 * k - 1, denom)))
+        biases.append(-sign * (low / span + make_rational(2 * k - 1, denom)))
     witness = SawtoothWitness(
         tuple(_alternating_weights(n_i)),
         recurrence_step(prev.expected_knots, n_i),
-        (Fraction(4, denom), Fraction(5, denom)),
+        (make_rational(4, denom), make_rational(5, denom)),
     )
     return DenseLayer(tuple(weights), tuple(biases)), witness
 
@@ -155,8 +143,8 @@ def build_final_layer(prev: SawtoothWitness, n_l: int) -> DenseLayer:
     weights = []
     biases = []
     for k in range(1, n_l + 1):
-        sign = Fraction(-1) if k % 2 == 0 else Fraction(1)
-        threshold = low + Fraction(k, n_l + 1) * span
+        sign = -1 if k % 2 == 0 else 1
+        threshold = low + make_rational(k, n_l + 1) * span
         weights.append(tuple(sign * FINAL_LAYER_SCALE * a for a in prev.combination_weights))
         biases.append(-sign * FINAL_LAYER_SCALE * threshold)
     return DenseLayer(tuple(weights), tuple(biases))
@@ -165,8 +153,8 @@ def build_final_layer(prev: SawtoothWitness, n_l: int) -> DenseLayer:
 def _distinct_knot_layer(n1: int) -> DenseLayer:
     # One knot per unit at x = 0, ..., n1 - 1; enough when there are no
     # further hidden layers.
-    weights = tuple((Fraction(1),) for _ in range(n1))
-    biases = tuple(Fraction(-(j - 1)) for j in range(1, n1 + 1))
+    weights = tuple((1,) for _ in range(n1))
+    biases = tuple(-(j - 1) for j in range(1, n1 + 1))
     return DenseLayer(weights, biases)
 
 
@@ -174,21 +162,18 @@ def _output_layer(n_last: int, p: int) -> DenseLayer:
     # Signs (-1)^(j+k) and biases k - 1; any choice works provided no slope
     # jump cancels, which build_tight_network checks after extraction.
     weights = tuple(
-        tuple(Fraction((-1) ** (j + k)) for j in range(1, n_last + 1))
+        tuple((-1) ** (j + k) for j in range(1, n_last + 1))
         for k in range(1, p + 1)
     )
-    biases = tuple(Fraction(k - 1) for k in range(1, p + 1))
+    biases = tuple(k - 1 for k in range(1, p + 1))
     return DenseLayer(weights, biases)
 
 
 def build_tight_network(arch: Architecture) -> ScalarInputNetwork:
     """A network of the given shape whose outputs have exactly the bound's knots."""
-    verdict = tightness_eligibility(arch)
-    if verdict is not Tightness.TIGHT:
-        reason = ineligibility_reason(arch) or "eligibility unknown"
+    _, reason = tightness_eligibility(arch)
+    if reason is not None:
         raise ValueError(f"bound not attainable for widths {arch.widths}: {reason}")
-    if arch.input_dim != 1:
-        raise ValueError("constructions are defined for scalar inputs only")
 
     widths = arch.widths
     if len(widths) == 1:
@@ -223,7 +208,7 @@ def example_tight_network() -> ScalarInputNetwork:
     Parameters are written out literally; the test suite checks they are
     exactly what ``build_tight_network`` generates for this shape.
     """
-    q = Fraction
+    q = make_rational
     layer1 = DenseLayer(
         weights=((q(1),), (q(1),), (q(-1),), (q(1),), (q(1),), (q(1),)),
         biases=(q(0), q(-1), q(2), q(-3), q(-4), q(-5)),

@@ -127,6 +127,8 @@ def load_network(path: str | Path) -> ScalarInputNetwork:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"$: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise SchemaError("$: nested too deeply to parse") from exc
     return network_from_dict(data)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .bounds import Architecture, Tightness, knot_bound, tightness_eligibility
-from .rational import Rational, RationalLike, _make_rational, as_rational, scaled_rows
+from .rational import Rational, RationalLike, as_rational, make_rational, scaled_rows
 from .spline import LinearSpline, VectorSpline, affine_combine, relu
 
 
@@ -100,7 +100,7 @@ class ScalarInputNetwork:
 
     @property
     def architecture(self) -> Architecture:
-        return Architecture(self.widths, output_dim=self.output_dim, input_dim=1)
+        return Architecture(self.widths, output_dim=self.output_dim)
 
 
 def evaluate(net: ScalarInputNetwork, x: RationalLike) -> list[Rational]:
@@ -124,7 +124,7 @@ def evaluate(net: ScalarInputNetwork, x: RationalLike) -> list[Rational]:
         den *= lcd
     lcd, rows, biases = net.output_layer.integer_form()
     return [
-        _make_rational(sum(map(mul, row, signal)) + b * den, lcd * den)
+        make_rational(sum(map(mul, row, signal)) + b * den, lcd * den)
         for row, b in zip(rows, biases)
     ]
 
@@ -183,7 +183,6 @@ class KnotReport:
 
     per_layer_knots: tuple[tuple[Rational, ...], ...]
     per_layer_counts: tuple[int, ...]
-    per_output_knots: tuple[tuple[Rational, ...], ...]
     output_knots: tuple[Rational, ...]
     output_knot_count: int
     bound: int
@@ -200,11 +199,10 @@ def knot_report(net: ScalarInputNetwork) -> KnotReport:
     return KnotReport(
         per_layer_knots=trace.per_layer_knot_union,
         per_layer_counts=tuple(len(u) for u in trace.per_layer_knot_union),
-        per_output_knots=tuple(tuple(f.knots()) for f in trace.output_splines),
         output_knots=output_union,
         output_knot_count=len(output_union),
         bound=bound,
         meets_bound=len(output_union) == bound,
-        tightness=tightness_eligibility(arch),
+        tightness=tightness_eligibility(arch)[0],
         output_splines=trace.output_splines,
     )

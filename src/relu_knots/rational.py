@@ -17,18 +17,17 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-# _make_rational(num, den) is the one constructor of the backend type: it
+# make_rational(num, den) is the one constructor of the backend type: it
 # builds the reduced rational num/den from an int, a Fraction, or an int pair.
 try:
-    from gmpy2 import mpq as _make_rational
+    from gmpy2 import mpq as make_rational
 
-    Rational = type(_make_rational(0))
+    Rational = type(make_rational(0))
 except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _make_rational = Fraction
+    make_rational = Fraction
     Rational = Fraction
 
-ZERO = _make_rational(0)
-ONE = _make_rational(1)
+ZERO = make_rational(0)
 
 # accepted by as_rational everywhere a rational is expected
 RationalLike = int | str | Fraction | Rational
@@ -46,7 +45,7 @@ def as_rational(value: int | str | Fraction | Rational) -> Rational:
             f"refusing float {value!r}; pass a rational, int, or 'num/den' string"
         )
     if isinstance(value, (int, Fraction)):
-        return _make_rational(value)
+        return make_rational(value)
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
@@ -65,7 +64,7 @@ def scaled_rows(
 def parse_rational(text: str) -> Rational:
     """Parse a rational written as ``"num/den"`` or ``"num"``."""
     try:
-        return _make_rational(Fraction(text.strip()))
+        return make_rational(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational {text!r}") from exc
 

@@ -137,10 +137,6 @@ def affine_combine(
     return LinearSpline(slope, intercept, breakpoints)
 
 
-def scale(f: LinearSpline, coeff: RationalLike) -> LinearSpline:
-    return affine_combine([(coeff, f)])
-
-
 def relu(f: LinearSpline) -> LinearSpline:
     """Exact spline of ``x -> max(0, f(x))`` in canonical form.
 
@@ -213,9 +209,6 @@ class VectorSpline:
 
     def __getitem__(self, index: int) -> LinearSpline:
         return self.components[index]
-
-    def value_at(self, x: RationalLike) -> list[Rational]:
-        return [f(x) for f in self.components]
 
     def knot_union(self) -> list[Rational]:
         """Sorted union of knot locations across all components."""

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .bounds import Architecture, Tightness, knot_bound, tightness_eligibility
 from .network import DenseLayer, ScalarInputNetwork, extract
-from .rational import Rational, as_rational
+from .rational import Rational, as_rational, make_rational
 from .spline import LinearSpline
+
+SLOPE_CHANGE_TOLERANCE = 1e-6  # relative threshold of the sampling detector
 
 
 @dataclass(frozen=True, slots=True)
@@ -27,7 +28,6 @@ class SamplingConfig:
 
     interval: tuple[Rational, Rational]
     samples: int = 100_001
-    slope_change_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
         low, high = (as_rational(self.interval[0]), as_rational(self.interval[1]))
@@ -36,8 +36,6 @@ class SamplingConfig:
             raise ValueError("interval must satisfy low < high")
         if self.samples < 3:
             raise ValueError("need at least 3 samples to form a second difference")
-        if self.slope_change_tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
 
     @property
     def grid_step(self) -> float:
@@ -117,9 +115,9 @@ def detect_knots_by_sampling(
     """Approximate knot locations of the network over the configured interval.
 
     A grid cell is flagged when, on any output, the discrete second difference
-    exceeds tolerance times that output's largest magnitude on the grid; runs
-    of adjacent flagged cells (one knot usually straddles two) merge into a
-    single detection at their midpoint. Detection is complete only when true
+    exceeds ``SLOPE_CHANGE_TOLERANCE`` times that output's largest magnitude
+    on the grid; runs of adjacent flagged cells (one knot usually straddles
+    two) merge into a single detection at their midpoint. Detection is complete only when true
     knots are separated by more than three grid steps: a knot inside a grid
     cell flags the points at both ends of the cell, and two knots' flags
     merge unless an unflagged point lies between them. A knot on an end
@@ -150,7 +148,7 @@ def detect_knots_by_sampling(
 
     flagged = bytearray(n)
     for ys in outputs:
-        threshold = cfg.slope_change_tolerance * max(map(abs, ys))
+        threshold = SLOPE_CHANGE_TOLERANCE * max(map(abs, ys))
         for i, (left, mid, right) in enumerate(zip(ys, ys[1:], ys[2:]), start=1):
             if abs(right - 2.0 * mid + left) > threshold:
                 flagged[i] = 1
@@ -170,8 +168,9 @@ def detect_knots_by_sampling(
 class AgreementReport:
     """Sampling detections compared against exact extraction, knot by knot.
 
-    ``exact`` holds the exact knots inside the sampled interval; the
-    ``exact_outside_interval`` others are not compared.
+    ``exact`` holds the exact knots strictly inside the sampled interval;
+    the ``exact_outside_interval`` others, those on its end points included,
+    are not compared.
     """
 
     detected: tuple[float, ...]
@@ -196,10 +195,15 @@ class AgreementReport:
 
 
 def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementReport:
-    """Run the sampling detector against exact extraction on one interval."""
+    """Run the sampling detector against exact extraction on one interval.
+
+    Only the knots strictly inside the interval are compared: the detector
+    takes second differences at interior grid points, so it never flags an
+    end point.
+    """
     low, high = cfg.interval
     knots = extract(net).output_splines.knot_union()
-    exact = tuple(x for x in knots if low <= x <= high)
+    exact = tuple(x for x in knots if low < x < high)
     detected = tuple(detect_knots_by_sampling(net, cfg))
     counts_match = len(detected) == len(exact)
     max_error: float | None = None
@@ -226,7 +230,7 @@ class SawtoothVerdict:
     alternating_slopes: bool
     minima_equal: bool
     maxima_equal: bool
-    oscillation_range: tuple[Fraction, Fraction]
+    oscillation_range: tuple[Rational, Rational]
     ok: bool
 
 
@@ -275,18 +279,14 @@ class StressReport:
     gap: int | None  # bound - max_observed, reported when the bound is unattainable
     note: str = field(default="randomized search: evidence, not proof")
 
-    @property
-    def bound_respected(self) -> bool:
-        return self.max_observed <= self.bound
-
 
 def random_network(
     rng: random.Random, arch: Architecture, max_numerator: int = 100, max_denominator: int = 10
 ) -> ScalarInputNetwork:
     """Network with seeded random rational parameters for the given shape."""
 
-    def value() -> Fraction:
-        return Fraction(
+    def value() -> Rational:
+        return make_rational(
             rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator)
         )
 
@@ -310,8 +310,6 @@ def stress_bound(arch: Architecture, trials: int, seed: int) -> StressReport:
     bug, not a counterexample). For shapes where the bound is unattainable,
     the report carries the observed gap as falsification evidence.
     """
-    if arch.input_dim != 1:
-        raise ValueError("stress search is defined for scalar inputs only")
     rng = random.Random(seed)
     bound = knot_bound(arch)
     max_observed = 0
@@ -324,7 +322,7 @@ def stress_bound(arch: Architecture, trials: int, seed: int) -> StressReport:
                 f"(seed {seed}, trial {trial})"
             )
         max_observed = max(max_observed, count)
-    not_tight = tightness_eligibility(arch) is Tightness.NOT_TIGHT
+    not_tight = tightness_eligibility(arch)[0] is Tightness.NOT_TIGHT
     return StressReport(
         widths=arch.widths,
         output_dim=arch.output_dim,

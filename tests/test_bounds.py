@@ -16,7 +16,6 @@ from relu_knots import (
     recurrence_step,
     tightness_eligibility,
 )
-from relu_knots.bounds import ineligibility_reason
 
 widths_strategy = st.lists(st.integers(1, 20), min_size=1, max_size=8).map(tuple)
 
@@ -33,10 +32,6 @@ class TestKnotBound:
 
     def test_three_three_two(self):
         assert knot_bound(Architecture((3, 3, 2))) == 47
-
-    def test_rejects_vector_input(self):
-        with pytest.raises(ValueError):
-            knot_bound(Architecture((4,), input_dim=2))
 
 
 class TestRecurrence:
@@ -81,34 +76,34 @@ class TestParamCount:
 
 class TestTightness:
     def test_reference_is_tight(self):
-        assert tightness_eligibility(Architecture((6, 3, 2))) is Tightness.TIGHT
+        assert tightness_eligibility(Architecture((6, 3, 2))) == (Tightness.TIGHT, None)
 
     def test_narrow_early_layer_is_not(self):
-        assert tightness_eligibility(Architecture((2, 5, 5))) is Tightness.NOT_TIGHT
+        verdict, _ = tightness_eligibility(Architecture((2, 5, 5)))
+        assert verdict is Tightness.NOT_TIGHT
 
     def test_single_layer_always_tight(self):
         for n in (1, 2, 4):
-            assert tightness_eligibility(Architecture((n,))) is Tightness.TIGHT
+            assert tightness_eligibility(Architecture((n,))) == (Tightness.TIGHT, None)
 
     def test_unit_final_layer_is_not(self):
-        assert tightness_eligibility(Architecture((3, 1))) is Tightness.NOT_TIGHT
+        verdict, _ = tightness_eligibility(Architecture((3, 1)))
+        assert verdict is Tightness.NOT_TIGHT
 
-    def test_deep_classification_is_total(self):
-        # For depth >= 2 the two classifications cover every case.
+    def test_verdict_is_tight_exactly_when_no_reason(self):
         rng = random.Random(0)
         for _ in range(500):
             widths = tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 5)))
-            assert tightness_eligibility(Architecture(widths)) in (
-                Tightness.TIGHT,
-                Tightness.NOT_TIGHT,
-            )
+            verdict, reason = tightness_eligibility(Architecture(widths))
+            assert (verdict is Tightness.TIGHT) == (reason is None), widths
+            sawtooth_fits = all(n >= 3 for n in widths[:-1]) and widths[-1] >= 2
+            assert (verdict is Tightness.TIGHT) == sawtooth_fits, widths
 
     def test_reason_names_the_offending_layer(self):
-        reason = ineligibility_reason(Architecture((2, 5)))
+        _, reason = tightness_eligibility(Architecture((2, 5)))
         assert reason is not None and "layer 1" in reason and "2" in reason
-        reason = ineligibility_reason(Architecture((3, 3, 1)))
+        _, reason = tightness_eligibility(Architecture((3, 3, 1)))
         assert reason is not None and "final layer" in reason
-        assert ineligibility_reason(Architecture((6, 3, 2))) is None
 
 
 class TestArchitectureValidation:

@@ -22,7 +22,6 @@ from relu_knots import (
 )
 from relu_knots.canonical import CanonicalShallowForm
 from relu_knots.construct import build_first_layer_sawtooth
-from relu_knots.spline import scale
 from relu_knots.verify import random_network
 
 
@@ -177,4 +176,4 @@ def test_reflection_identity_on_splines(x):
 @given(f=splines(), w=rationals.filter(lambda q: q >= 0))
 @settings(max_examples=150)
 def test_relu_is_positively_homogeneous(f, w):
-    assert relu(scale(f, w)) == scale(relu(f), w)
+    assert relu(affine_combine([(w, f)])) == affine_combine([(w, relu(f))])

@@ -248,6 +248,18 @@ class TestAnalyzeCsv:
     def test_missing_file_exits_2(self, capsys):
         assert main(["analyze", "/nonexistent/net.json"]) == 2
 
+    def test_directory_exits_2(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_agreement_on_built_network(self, tmp_path, capsys):
@@ -330,12 +342,12 @@ class TestVerify:
 
     def test_knots_on_end_points_name_no_sample_count(self, reference_file, capsys):
         # the reference network has knots at 0 and 1, which the grid's end
-        # points can never detect, however many samples it takes
+        # points can never detect: they are counted as not compared
         args = ["verify", reference_file, "--interval", "0", "1", "--samples", "5001"]
-        assert main(args) == 4
-        err = capsys.readouterr().err
-        assert "2 exact knot(s) on the end points" in err
-        assert "--samples" not in err
+        assert main(args + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["exact"] == payload["detected"] == 11
+        assert payload["exact_outside_interval"] == 72
 
     def test_malformed_interval_exits_2(self, reference_file, capsys):
         assert main(["verify", reference_file, "--interval", "a", "b"]) == 2

@@ -122,7 +122,7 @@ class TestExtract:
         net = example_tight_network()
         outputs = extract(net).output_splines
         for x in seeded_points(11, 1000):
-            assert outputs.value_at(x) == evaluate(net, x)
+            assert [f(x) for f in outputs] == evaluate(net, x)
 
     def test_matches_evaluate_on_random_networks(self):
         rng = random.Random(5)
@@ -131,7 +131,7 @@ class TestExtract:
             net = random_network(rng, Architecture(widths, output_dim=rng.randint(1, 2)))
             outputs = extract(net).output_splines
             for x in seeded_points(rng.randint(0, 10**6), 40):
-                assert outputs.value_at(x) == evaluate(net, x)
+                assert [f(x) for f in outputs] == evaluate(net, x)
 
     def test_one_layer_units_contribute_one_knot_each(self):
         layer = DenseLayer(
@@ -182,8 +182,8 @@ class TestKnotReport:
         assert report.bound == 83
         assert report.meets_bound
         assert report.tightness is Tightness.TIGHT
-        assert len(report.per_output_knots) == 2
-        assert all(len(k) == 83 for k in report.per_output_knots)
+        assert len(report.output_splines) == 2
+        assert all(len(f.knots()) == 83 for f in report.output_splines)
         assert report.output_splines == extract(example_tight_network()).output_splines
 
     def test_zero_weight_network_has_no_knots(self):

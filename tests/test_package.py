@@ -1,0 +1,28 @@
+"""Package-level guards: the public names resolve, and rationals have one home."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import relu_knots
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in relu_knots.__all__ if not hasattr(relu_knots, name)]
+    assert missing == []
+
+
+def test_only_rational_imports_fractions():
+    importers = []
+    for path in sorted(Path(relu_knots.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if "fractions" in modules:
+                importers.append(path.name)
+    assert importers == ["rational.py"]

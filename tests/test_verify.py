@@ -25,6 +25,7 @@ from relu_knots.construct import build_first_layer_sawtooth, example_tight_netwo
 from relu_knots.spline import LinearSpline
 from relu_knots.verify import (
     BLOCK,
+    SLOPE_CHANGE_TOLERANCE,
     _float_forward,
     _float_layers,
     _grid_points,
@@ -70,7 +71,7 @@ def reference_detections(net: ScalarInputNetwork, cfg: SamplingConfig) -> list[f
     flagged = [False] * n
     for ys in outputs:
         scale = max(abs(y) for y in ys)
-        threshold = cfg.slope_change_tolerance * scale
+        threshold = SLOPE_CHANGE_TOLERANCE * scale
         for i in range(1, n - 1):
             if abs(ys[i + 1] - 2.0 * ys[i] + ys[i - 1]) > threshold:
                 flagged[i] = True
@@ -147,8 +148,6 @@ class TestDetection:
             SamplingConfig((Q(1), Q(1)))
         with pytest.raises(ValueError):
             SamplingConfig((Q(0), Q(1)), samples=2)
-        with pytest.raises(ValueError):
-            SamplingConfig((Q(0), Q(1)), slope_change_tolerance=-1.0)
 
 
 class TestBlockPass:
@@ -215,10 +214,13 @@ class TestOracleReport:
     def test_counts_exact_knots_outside_interval(self):
         net = example_tight_network()
         report = oracle_agreement(net, SamplingConfig((Q(0), Q(1)), samples=5001))
-        assert len(report.exact) == 13
-        assert report.exact_outside_interval == 83 - 13
-        assert "70 exact outside the interval" in report.summary()
-        assert report.exact[0] == 0 and report.exact[-1] == 1
+        # knots at 0 and 1 sit on the end points, where the grid takes no
+        # second difference: they count as outside, not as missed
+        assert len(report.exact) == 11
+        assert report.exact_outside_interval == 83 - 11
+        assert "72 exact outside the interval" in report.summary()
+        assert 0 < report.exact[0] and report.exact[-1] < 1
+        assert report.agree
 
 
 class TestCheckSawtooth:
@@ -260,7 +262,7 @@ class TestStressBound:
         report = stress_bound(Architecture((1,)), trials=50, seed=0)
         assert report.bound == 1
         assert report.max_observed == 1
-        assert report.bound_respected
+        assert report.max_observed <= report.bound
         assert report.gap is None  # single layer: bound attainable
 
     def test_two_by_two_gap(self):
