@@ -23,11 +23,9 @@ from .jsonio import SchemaError, load_network, network_from_dict, network_to_dic
 from .network import (
     DenseLayer,
     ExtractionTrace,
-    KnotReport,
     ScalarInputNetwork,
     evaluate,
     extract,
-    knot_report,
 )
 from .rational import Rational, as_rational, format_rational, parse_rational
 from .spline import LinearSpline, VectorSpline, affine_combine, relu
@@ -51,7 +49,6 @@ __all__ = [
     "CanonicalShallowForm",
     "DenseLayer",
     "ExtractionTrace",
-    "KnotReport",
     "LinearSpline",
     "Rational",
     "SamplingConfig",
@@ -78,7 +75,6 @@ __all__ = [
     "extract",
     "format_rational",
     "knot_bound",
-    "knot_report",
     "load_network",
     "network_from_dict",
     "network_to_dict",
@@ -90,5 +86,6 @@ __all__ = [
     "relu",
     "save_network",
     "stress_bound",
+    "tightness_eligibility",
     "to_forward_facing",
 ]

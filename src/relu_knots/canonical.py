@@ -55,10 +55,6 @@ class CanonicalShallowForm:
         ):
             raise ValueError("knot locations must be non-decreasing")
 
-    @property
-    def output_dim(self) -> int:
-        return len(self.ray_slopes)
-
     def integer_form(self) -> tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
         """The form in integers: ``(K, K*knots, S, rows)``. K is the least
         common denominator of the knots, S that of the slopes and the line,

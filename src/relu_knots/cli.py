@@ -34,7 +34,7 @@ from .bounds import (
 from .canonical import eval_canonical, to_forward_facing
 from .construct import build_tight_network
 from .jsonio import SchemaError, load_network, network_to_dict, save_network
-from .network import ScalarInputNetwork, evaluate, knot_report
+from .network import ScalarInputNetwork, evaluate, extract
 from .rational import Rational, decimal_str, format_rational, make_rational, parse_rational
 from .spline import LinearSpline
 from .verify import AgreementReport, SamplingConfig, oracle_agreement, stress_bound
@@ -100,20 +100,12 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("RELU_KNOTS_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise SystemExit(
-                f"error: RELU_KNOTS_SEED must be an integer, got {env!r}"
-            ) from exc
-    return 0
-
-
-def _parse_widths(raw: list[int]) -> tuple[int, ...]:
-    if not raw or any(n < 1 for n in raw):
-        raise _input_error(f"widths must be positive integers, got {raw}")
-    return tuple(raw)
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ValueError(f"RELU_KNOTS_SEED must be an integer, got {env!r}") from exc
 
 
 class _CliError(Exception):
@@ -122,17 +114,13 @@ class _CliError(Exception):
         self.code = code
 
 
-def _input_error(message: str) -> _CliError:
-    return _CliError(message, EXIT_INPUT)
-
-
 def _load(path: str) -> ScalarInputNetwork:
     try:
         return load_network(path)
     except OSError as exc:
-        raise _input_error(f"{path}: {exc.strerror}") from exc
+        raise ValueError(f"{path}: {exc.strerror}") from exc
     except SchemaError as exc:
-        raise _input_error(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _random_rational_points(rng: random.Random, count: int) -> list[Rational]:
@@ -142,7 +130,7 @@ def _random_rational_points(rng: random.Random, count: int) -> list[Rational]:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    arch = Architecture(_parse_widths(args.widths), output_dim=args.p)
+    arch = Architecture(args.widths, output_dim=args.p)
     report = {
         "widths": list(arch.widths),
         "p": arch.output_dim,
@@ -165,7 +153,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    arch = Architecture(_parse_widths(args.widths), output_dim=args.p)
+    arch = Architecture(args.widths, output_dim=args.p)
     _, reason = tightness_eligibility(arch)
     if reason is not None:
         raise _CliError(
@@ -186,34 +174,40 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     net = _load(args.network)
-    report = knot_report(net)
+    trace = extract(net)
+    per_layer_knots, outputs = trace.per_layer_knot_union, trace.output_splines
+    # drop every unit's spline before the CSV rows are built: it lowers peak memory
+    del trace
     if args.csv:
-        write_spline_csv(report.output_splines, args.csv)
+        write_spline_csv(outputs, args.csv)
+    output_knots = outputs.knot_union()
+    arch = net.architecture
+    bound = knot_bound(arch)
     payload = {
         "widths": list(net.widths),
         "p": net.output_dim,
-        "per_layer_knot_counts": list(report.per_layer_counts),
-        "output_knot_count": report.output_knot_count,
-        "bound": report.bound,
-        "meets_bound": report.meets_bound,
-        "tightness": report.tightness.value,
+        "per_layer_knot_counts": [len(u) for u in per_layer_knots],
+        "output_knot_count": len(output_knots),
+        "bound": bound,
+        "meets_bound": len(output_knots) == bound,
+        "tightness": tightness_eligibility(arch)[0].value,
     }
     if args.layers:
         payload["per_layer_knots"] = [
-            [format_rational(x) for x in layer] for layer in report.per_layer_knots
+            [format_rational(x) for x in layer] for layer in per_layer_knots
         ]
-        payload["output_knots"] = [format_rational(x) for x in report.output_knots]
+        payload["output_knots"] = [format_rational(x) for x in output_knots]
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(f"widths: {' '.join(map(str, net.widths))}   outputs: {net.output_dim}")
         print(f"per-layer knot counts: {payload['per_layer_knot_counts']}")
-        print(f"output knots: {report.output_knot_count}")
-        print(f"bound: {report.bound}   meets bound: {report.meets_bound}")
-        print(f"tightness: {report.tightness.value}")
+        print(f"output knots: {payload['output_knot_count']}")
+        print(f"bound: {bound}   meets bound: {payload['meets_bound']}")
+        print(f"tightness: {payload['tightness']}")
         if args.layers:
-            for i, layer in enumerate(report.per_layer_knots, start=1):
-                print(f"layer {i} knots: {[format_rational(x) for x in layer]}")
+            for i, layer in enumerate(payload["per_layer_knots"], start=1):
+                print(f"layer {i} knots: {layer}")
             print(f"output knot locations: {payload['output_knots']}")
         if args.csv:
             print(f"wrote {args.csv}")
@@ -225,14 +219,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     interval = (-1, net.widths[0])
     if args.interval:
-        try:
-            interval = tuple(parse_rational(s) for s in args.interval)
-        except ValueError as exc:
-            raise _input_error(str(exc)) from exc
-    try:
-        cfg = SamplingConfig(interval, samples=args.samples)
-    except ValueError as exc:
-        raise _input_error(str(exc)) from exc
+        interval = tuple(parse_rational(s) for s in args.interval)
+    cfg = SamplingConfig(interval, samples=args.samples)
     low, high = cfg.interval
     agreement = oracle_agreement(net, cfg)
     payload: dict = {
@@ -280,10 +268,10 @@ def _mismatch_message(agreement: AgreementReport, cfg: SamplingConfig) -> str:
     """The exit-4 message, naming the sample count that separates the exact
     knots when the grid is too coarse for them."""
     message = "sampling oracle disagrees with exact extraction"
-    if agreement.counts_match:
+    exact = agreement.exact
+    if len(agreement.detected) == len(exact):
         return message
     low, high = cfg.interval
-    exact = agreement.exact
     if len(exact) > 1:
         gap = min(b - a for a, b in zip(exact, exact[1:]))
         if gap * (cfg.samples - 1) <= 3 * (high - low):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul
 
-from .bounds import Architecture, Tightness, knot_bound, tightness_eligibility
+from .bounds import Architecture
 from .rational import Rational, RationalLike, as_rational, make_rational, scaled_rows
 from .spline import LinearSpline, VectorSpline, affine_combine, relu
 
@@ -174,35 +174,3 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
         )
     )
     return ExtractionTrace(tuple(per_layer), outputs, tuple(unions))
-
-
-@dataclass(frozen=True, slots=True)
-class KnotReport:
-    """Knot locations and counts, compared against the architectural bound,
-    with the output splines they were read from."""
-
-    per_layer_knots: tuple[tuple[Rational, ...], ...]
-    per_layer_counts: tuple[int, ...]
-    output_knots: tuple[Rational, ...]
-    output_knot_count: int
-    bound: int
-    meets_bound: bool
-    tightness: Tightness
-    output_splines: VectorSpline
-
-
-def knot_report(net: ScalarInputNetwork) -> KnotReport:
-    trace = extract(net)
-    arch = net.architecture
-    output_union = tuple(trace.output_knot_union())
-    bound = knot_bound(arch)
-    return KnotReport(
-        per_layer_knots=trace.per_layer_knot_union,
-        per_layer_counts=tuple(len(u) for u in trace.per_layer_knot_union),
-        output_knots=output_union,
-        output_knot_count=len(output_union),
-        bound=bound,
-        meets_bound=len(output_union) == bound,
-        tightness=tightness_eligibility(arch)[0],
-        output_splines=trace.output_splines,
-    )

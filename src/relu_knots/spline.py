@@ -67,10 +67,6 @@ class LinearSpline:
             value += delta * (x - bx)
         return value
 
-    @property
-    def final_slope(self) -> Rational:
-        return self.initial_slope + sum((d for _, d in self.breakpoints), ZERO)
-
     def piece_slopes(self) -> list[Rational]:
         """Slopes of the m + 1 pieces, leftmost ray first."""
         slopes = [self.initial_slope]

@@ -177,14 +177,14 @@ class AgreementReport:
     exact: tuple[Rational, ...]
     exact_outside_interval: int
     grid_step: float
-    counts_match: bool
     max_location_error: float | None
     agree: bool
 
     def summary(self) -> str:
         status = "agree" if self.agree else "MISMATCH"
         outside = (
-            f", {self.exact_outside_interval} exact outside the interval"
+            f", {self.exact_outside_interval} exact not compared"
+            " (outside the interval or on an end point)"
             if self.exact_outside_interval
             else ""
         )
@@ -205,10 +205,9 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
     knots = extract(net).output_splines.knot_union()
     exact = tuple(x for x in knots if low < x < high)
     detected = tuple(detect_knots_by_sampling(net, cfg))
-    counts_match = len(detected) == len(exact)
     max_error: float | None = None
-    agree = counts_match
-    if counts_match and exact:
+    agree = len(detected) == len(exact)
+    if agree and exact:
         errors = [abs(d - float(e)) for d, e in zip(detected, exact)]
         max_error = max(errors)
         agree = max_error <= cfg.grid_step
@@ -217,7 +216,6 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
         exact=exact,
         exact_outside_interval=len(knots) - len(exact),
         grid_step=cfg.grid_step,
-        counts_match=counts_match,
         max_location_error=max_error,
         agree=agree,
     )
@@ -270,8 +268,6 @@ def check_sawtooth(f: LinearSpline) -> SawtoothVerdict:
 class StressReport:
     """Outcome of a seeded random search for bound violations."""
 
-    widths: tuple[int, ...]
-    output_dim: int
     trials: int
     seed: int
     bound: int
@@ -310,6 +306,8 @@ def stress_bound(arch: Architecture, trials: int, seed: int) -> StressReport:
     bug, not a counterexample). For shapes where the bound is unattainable,
     the report carries the observed gap as falsification evidence.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     rng = random.Random(seed)
     bound = knot_bound(arch)
     max_observed = 0
@@ -324,8 +322,6 @@ def stress_bound(arch: Architecture, trials: int, seed: int) -> StressReport:
         max_observed = max(max_observed, count)
     not_tight = tightness_eligibility(arch)[0] is Tightness.NOT_TIGHT
     return StressReport(
-        widths=arch.widths,
-        output_dim=arch.output_dim,
         trials=trials,
         seed=seed,
         bound=bound,

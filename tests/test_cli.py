@@ -57,6 +57,8 @@ class TestBound:
 
     def test_malformed_widths(self, capsys):
         assert main(["bound", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         with pytest.raises(SystemExit) as exc:
             main(["bound", "three"])
         assert exc.value.code == 2
@@ -352,6 +354,11 @@ class TestVerify:
     def test_malformed_interval_exits_2(self, reference_file, capsys):
         assert main(["verify", reference_file, "--interval", "a", "b"]) == 2
 
+    def test_negative_trials_exits_2(self, shallow_file, capsys):
+        assert main(["verify", shallow_file, "--samples", "1001", "--trials", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "trials" in err
+
     def test_constant_network_agrees_on_zero(self, tmp_path, capsys):
         path = tmp_path / "constant.json"
         path.write_text(
@@ -388,6 +395,12 @@ class TestCanonicalize:
         main(["canonicalize", shallow_file])
         payload = json.loads(capsys.readouterr().out)
         assert payload["equivalence_check"]["seed"] == 42
+
+    def test_malformed_env_seed_exits_2(self, shallow_file, capsys, monkeypatch):
+        monkeypatch.setenv("RELU_KNOTS_SEED", "abc")
+        assert main(["canonicalize", shallow_file]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: RELU_KNOTS_SEED must be an integer, got 'abc'\n"
 
     def test_flag_beats_env(self, shallow_file, capsys, monkeypatch):
         monkeypatch.setenv("RELU_KNOTS_SEED", "42")

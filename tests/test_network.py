@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction as Q
 
@@ -7,20 +8,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rationals, seeded_points
+from conftest import nonzero_rationals, rationals, seeded_points
 from relu_knots import (
     Architecture,
     DenseLayer,
     Rational,
     ScalarInputNetwork,
-    Tightness,
     evaluate,
     extract,
-    knot_report,
+    knot_bound,
     load_network,
     recurrence_step,
     save_network,
 )
+from relu_knots.cli import main
 from relu_knots.construct import example_tight_network
 from relu_knots.verify import random_network
 
@@ -66,19 +67,33 @@ coefficients = st.one_of(st.just(Q(0)), rationals)
 
 
 @st.composite
-def networks_at_points(draw):
-    """Layers of depth 1-3 and an input x, written as a Fraction, an int, or
-    a "num/den" string. Half the time one unit's bias is set so that its
-    pre-activation at x is exactly 0."""
-    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+def network_layers(draw, min_depth: int = 1):
+    """(weights, biases) lists of min_depth-3 hidden layers of width 1-3,
+    then of an output layer of width 1-2."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=min_depth, max_size=3))
     shapes = list(zip(widths + [draw(st.integers(1, 2))], [1] + widths))
-    layers = [
+    return [
         (
             [[draw(coefficients) for _ in range(cols)] for _ in range(rows)],
             [draw(coefficients) for _ in range(rows)],
         )
         for rows, cols in shapes
     ]
+
+
+def to_network(layers) -> ScalarInputNetwork:
+    return ScalarInputNetwork(
+        tuple(DenseLayer(w, b) for w, b in layers[:-1]), DenseLayer(*layers[-1])
+    )
+
+
+@st.composite
+def networks_at_points(draw):
+    """Layers of depth 1-3 and an input x, written as a Fraction, an int, or
+    a "num/den" string. Half the time one unit's bias is set so that its
+    pre-activation at x is exactly 0."""
+    layers = draw(network_layers())
+    widths = [len(biases) for _, biases in layers[:-1]]
     kind = draw(st.sampled_from(["fraction", "int", "string"]))
     x = Q(draw(st.integers(-50, 50))) if kind == "int" else draw(rationals)
     target = draw(st.none() | st.integers(0, len(widths) - 1))
@@ -95,10 +110,7 @@ class TestEvaluateAgainstReference:
     @given(case=networks_at_points())
     def test_matches_plain_fraction_forward_pass(self, case):
         layers, x = case
-        net = ScalarInputNetwork(
-            tuple(DenseLayer(w, b) for w, b in layers[:-1]), DenseLayer(*layers[-1])
-        )
-        got = evaluate(net, x)
+        got = evaluate(to_network(layers), x)
         assert got == plain_forward(layers[:-1], layers[-1], x)
         assert all(isinstance(y, Rational) for y in got)
 
@@ -175,35 +187,122 @@ class TestExtract:
 
 
 class TestKnotReport:
-    def test_reference_network(self):
-        report = knot_report(example_tight_network())
-        assert report.per_layer_counts == (6, 27, 83)
-        assert report.output_knot_count == 83
-        assert report.bound == 83
-        assert report.meets_bound
-        assert report.tightness is Tightness.TIGHT
-        assert len(report.output_splines) == 2
-        assert all(len(f.knots()) == 83 for f in report.output_splines)
-        assert report.output_splines == extract(example_tight_network()).output_splines
+    """The knot report ``analyze`` prints, and the two library calls it is
+    read from: ``extract`` for the knots and ``knot_bound`` for the bound."""
+
+    def test_reference_network(self, tmp_path, capsys):
+        path = tmp_path / "reference.json"
+        save_network(example_tight_network(), path)
+        assert main(["analyze", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["per_layer_knot_counts"] == [6, 27, 83]
+        assert payload["output_knot_count"] == 83
+        assert payload["bound"] == 83
+        assert payload["meets_bound"] is True
+        assert payload["tightness"] == "tight"
+        outputs = extract(example_tight_network()).output_splines
+        assert len(outputs) == 2
+        assert all(len(f.knots()) == 83 for f in outputs)
 
     def test_zero_weight_network_has_no_knots(self):
         layer = DenseLayer(((Q(0),), (Q(0),)), (Q(1), Q(2)))
         net = ScalarInputNetwork((layer,), DenseLayer(((Q(1), Q(1)),), (Q(0),)))
-        report = knot_report(net)
-        assert report.output_knot_count == 0
-        assert not report.meets_bound
+        assert extract(net).output_knot_union() == []
+        assert knot_bound(net.architecture) == 2
 
     def test_narrow_deep_networks_never_meet_bound(self):
         # Random search over a shape whose bound is unattainable: evidence
         # for the nonexistence claim, not a proof of it.
+        arch = Architecture((2, 2))
+        assert knot_bound(arch) == 8
         rng = random.Random(3)
-        best = 0
-        for _ in range(100):
-            net = random_network(rng, Architecture((2, 2)))
-            report = knot_report(net)
-            assert not report.meets_bound
-            best = max(best, report.output_knot_count)
+        best = max(
+            len(extract(random_network(rng, arch)).output_knot_union()) for _ in range(100)
+        )
         assert best < 8
+
+
+positive_rationals = st.fractions(min_value=Q(1, 12), max_value=Q(12), max_denominator=12)
+
+
+@st.composite
+def rescaled_units(draw):
+    """Layers and a copy in which one hidden unit's weights and bias are
+    multiplied by c > 0 and its outgoing column by 1/c."""
+    layers = draw(network_layers())
+    i = draw(st.integers(0, len(layers) - 2))
+    j = draw(st.integers(0, len(layers[i][1]) - 1))
+    c = draw(positive_rationals)
+    (weights, biases), (next_weights, next_biases) = layers[i], layers[i + 1]
+    scaled = (
+        [[c * w for w in row] if k == j else row for k, row in enumerate(weights)],
+        [c * b if k == j else b for k, b in enumerate(biases)],
+    )
+    shrunk = (
+        [[w / c if k == j else w for k, w in enumerate(row)] for row in next_weights],
+        next_biases,
+    )
+    return layers, [*layers[:i], scaled, shrunk, *layers[i + 2 :]]
+
+
+@st.composite
+def permuted_units(draw):
+    """Layers and a copy in which one hidden layer's units are permuted and
+    the next layer's columns with them."""
+    layers = draw(network_layers())
+    i = draw(st.integers(0, len(layers) - 2))
+    (weights, biases), (next_weights, next_biases) = layers[i], layers[i + 1]
+    order = draw(st.permutations(range(len(biases))))
+    permuted = ([weights[k] for k in order], [biases[k] for k in order])
+    columns = ([[row[k] for k in order] for row in next_weights], next_biases)
+    return layers, [*layers[:i], permuted, columns, *layers[i + 2 :]]
+
+
+@st.composite
+def roots_on_first_layer_knots(draw):
+    """Layers of depth 2-3 in which one layer-2 unit's bias puts its root
+    exactly on a knot of layer 1, and that knot."""
+    layers = draw(network_layers(min_depth=2))
+    (weights, biases), (next_weights, next_biases) = layers[0], layers[1]
+    k = draw(st.integers(0, len(biases) - 1))
+    weights[k] = [draw(nonzero_rationals)]
+    knot = -biases[k] / weights[k][0]
+    j = draw(st.integers(0, len(next_biases) - 1))
+    below = plain_forward(layers[:1], (next_weights, [Q(0)] * len(next_biases)), knot)
+    next_biases[j] = -below[j]
+    return layers, knot
+
+
+class TestExtractMetamorphic:
+    @given(case=rescaled_units())
+    def test_positive_rescaling_of_a_unit(self, case):
+        layers, rescaled = case
+        a, b = extract(to_network(layers)), extract(to_network(rescaled))
+        assert a.output_splines == b.output_splines
+        assert a.per_layer_knot_union == b.per_layer_knot_union
+
+    @given(case=permuted_units())
+    def test_permuting_the_units_of_a_layer(self, case):
+        layers, permuted = case
+        a, b = extract(to_network(layers)), extract(to_network(permuted))
+        assert a.output_splines == b.output_splines
+        assert a.per_layer_knot_union == b.per_layer_knot_union
+
+    @given(case=roots_on_first_layer_knots())
+    def test_root_on_a_first_layer_knot(self, case):
+        layers, knot = case
+        net = to_network(layers)
+        trace = extract(net)
+        assert knot in trace.per_layer_knot_union[0]
+        knots = sorted(set().union(*trace.per_layer_knot_union))
+        points = [
+            knots[0] - 1,
+            *knots,
+            *((a + b) / 2 for a, b in zip(knots, knots[1:])),
+            knots[-1] + 1,
+        ]
+        for x in points:
+            assert [f(x) for f in trace.output_splines] == evaluate(net, x)
 
 
 class TestValidation:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import relu_knots
@@ -11,6 +12,15 @@ import relu_knots
 def test_every_exported_name_resolves():
     missing = [name for name in relu_knots.__all__ if not hasattr(relu_knots, name)]
     assert missing == []
+
+
+def test_every_imported_name_is_exported():
+    imported = {
+        name
+        for name, value in vars(relu_knots).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert imported == set(relu_knots.__all__)
 
 
 def test_only_rational_imports_fractions():

@@ -215,10 +215,13 @@ class TestOracleReport:
         net = example_tight_network()
         report = oracle_agreement(net, SamplingConfig((Q(0), Q(1)), samples=5001))
         # knots at 0 and 1 sit on the end points, where the grid takes no
-        # second difference: they count as outside, not as missed
+        # second difference: they count as not compared, not as missed
         assert len(report.exact) == 11
         assert report.exact_outside_interval == 83 - 11
-        assert "72 exact outside the interval" in report.summary()
+        assert (
+            ", 72 exact not compared (outside the interval or on an end point)"
+            in report.summary()
+        )
         assert 0 < report.exact[0] and report.exact[-1] < 1
         assert report.agree
 
@@ -276,6 +279,10 @@ class TestStressBound:
         report = stress_bound(Architecture((6, 3, 2), output_dim=2), trials=30, seed=1)
         assert report.max_observed <= 83
         assert report.gap is None
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            stress_bound(Architecture((2, 2)), trials=-1, seed=0)
 
     def test_seeded_reproducibility(self):
         a = stress_bound(Architecture((2, 3)), trials=100, seed=7)
