@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
-from relu_knots import LinearSpline
+from relu_knots import LinearSpline, VectorSpline, affine_combine, relu
+from relu_knots.network import extract as real_extract
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -32,3 +35,61 @@ def seeded_points(seed: int, count: int, denominator_limit: int = 100) -> list[F
         Fraction(rng.randint(-1000, 1000), rng.randint(1, denominator_limit))
         for _ in range(count)
     ]
+
+
+def reference_unit_splines(net) -> list[list[LinearSpline]]:
+    """The spline of every hidden unit, layer by layer, one unit at a time:
+    relu of the affine combination of the layer below, the input being the
+    line x."""
+    layers = []
+    units = [LinearSpline.line(1, 0)]
+    for layer in net.hidden_layers:
+        units = [
+            relu(affine_combine(zip(row, units), b))
+            for row, b in zip(layer.weights, layer.biases)
+        ]
+        layers.append(units)
+    return layers
+
+
+def reference_extract(net) -> tuple[tuple[tuple, ...], VectorSpline]:
+    """Per-layer knot unions and output splines from the unit-by-unit
+    reference, the slow path that ``extract`` must agree with."""
+    layers = reference_unit_splines(net)
+    outputs = VectorSpline(
+        tuple(
+            affine_combine(zip(row, layers[-1]), b)
+            for row, b in zip(net.output_layer.weights, net.output_layer.biases)
+        )
+    )
+    unions = tuple(tuple(VectorSpline(tuple(units)).knot_union()) for units in layers)
+    return unions, outputs
+
+
+def same_as_reference(net, trace) -> bool:
+    return (trace.per_layer_knot_union, trace.output_splines) == reference_extract(net)
+
+
+@pytest.fixture(autouse=True)
+def extractions_match_reference(monkeypatch):
+    """Check every ``extract`` call a test makes against ``reference_extract``.
+
+    The calls are recorded while the test runs and checked after it, so
+    the reference adds nothing to the time a test measures itself.
+    """
+    seen = []
+
+    def recording_extract(net):
+        trace = real_extract(net)
+        seen.append((net, trace))
+        return trace
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__dict__", {}).get("extract") is real_extract:
+            monkeypatch.setattr(module, "extract", recording_extract)
+    yield
+    checked = set()
+    for net, trace in seen:
+        if net not in checked:
+            checked.add(net)
+            assert same_as_reference(net, trace), f"extract is not the reference on {net.widths}"

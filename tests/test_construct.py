@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conftest import reference_unit_splines
 from relu_knots import (
     Architecture,
     DenseLayer,
@@ -190,9 +191,7 @@ class TestExampleNetwork:
 
     def test_third_layer_input_wave_has_27_knots(self):
         net = example_tight_network()
-        trace = extract(net)
-        g3 = affine_combine(
-            zip(net.hidden_layers[2].weights[0], trace.per_layer_neuron_splines[1])
-        )
+        units = reference_unit_splines(net)
+        g3 = affine_combine(zip(net.hidden_layers[2].weights[0], units[1]))
         assert len(g3.knots()) == 27
         assert check_sawtooth(g3).ok

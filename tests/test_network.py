@@ -5,10 +5,17 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import nonzero_rationals, rationals, seeded_points
+from conftest import (
+    nonzero_rationals,
+    rationals,
+    reference_extract,
+    same_as_reference,
+    seeded_points,
+    splines,
+)
 from relu_knots import (
     Architecture,
     DenseLayer,
@@ -67,10 +74,10 @@ coefficients = st.one_of(st.just(Q(0)), rationals)
 
 
 @st.composite
-def network_layers(draw, min_depth: int = 1):
-    """(weights, biases) lists of min_depth-3 hidden layers of width 1-3,
-    then of an output layer of width 1-2."""
-    widths = draw(st.lists(st.integers(1, 3), min_size=min_depth, max_size=3))
+def network_layers(draw, min_depth: int = 1, min_width: int = 1):
+    """(weights, biases) lists of min_depth-3 hidden layers of width
+    min_width-3, then of an output layer of width 1-2."""
+    widths = draw(st.lists(st.integers(min_width, 3), min_size=min_depth, max_size=3))
     shapes = list(zip(widths + [draw(st.integers(1, 2))], [1] + widths))
     return [
         (
@@ -259,18 +266,55 @@ def permuted_units(draw):
 
 
 @st.composite
-def roots_on_first_layer_knots(draw):
-    """Layers of depth 2-3 in which one layer-2 unit's bias puts its root
-    exactly on a knot of layer 1, and that knot."""
-    layers = draw(network_layers(min_depth=2))
-    (weights, biases), (next_weights, next_biases) = layers[0], layers[1]
+def roots_on_knots(draw, layer: int):
+    """Layers of depth layer+1 to 3 in which one unit of hidden layer
+    layer+1 has its bias set so that its root is exactly on a knot of
+    hidden layer ``layer``, and that knot."""
+    layers = draw(network_layers(min_depth=layer + 1))
+    weights, biases = layers[0]
     k = draw(st.integers(0, len(biases) - 1))
     weights[k] = [draw(nonzero_rationals)]
-    knot = -biases[k] / weights[k][0]
+    union = reference_extract(to_network(layers))[0][layer - 1]
+    assume(union)
+    knot = draw(st.sampled_from(union))
+    next_weights, next_biases = layers[layer]
     j = draw(st.integers(0, len(next_biases) - 1))
-    below = plain_forward(layers[:1], (next_weights, [Q(0)] * len(next_biases)), knot)
+    below = plain_forward(layers[:layer], (next_weights, [Q(0)] * len(next_biases)), knot)
     next_biases[j] = -below[j]
     return layers, knot
+
+
+@st.composite
+def roots_on_another_units_knot(draw):
+    """Layers of depth 2-3 whose layer-2 unit 0 sees only layer-1 unit 0 and
+    has its root on the knot of layer-1 unit 1, which layer-2 unit 1 keeps.
+    That knot is not one of unit 0's own. Returns the layers and the knot."""
+    layers = draw(network_layers(min_depth=2, min_width=2))
+    (weights, biases), (next_weights, next_biases) = layers[0], layers[1]
+    weights[0], weights[1] = [draw(nonzero_rationals)], [draw(nonzero_rationals)]
+    knot = -biases[1] / weights[1][0]
+    active = draw(positive_rationals)  # unit 0 of layer 1 at the knot
+    biases[0] = active - weights[0][0] * knot
+    zeros = [Q(0)] * (len(biases) - 2)
+    next_weights[0] = [draw(nonzero_rationals), Q(0), *zeros]
+    next_biases[0] = -next_weights[0][0] * active
+    next_weights[1] = [Q(0), draw(nonzero_rationals), *zeros]
+    next_biases[1] = Q(1)  # positive at the knot, so relu keeps it
+    return layers, knot
+
+
+def assert_exact_between_knots(net: ScalarInputNetwork, trace) -> None:
+    """``extract`` agrees with ``evaluate`` at every knot of every layer,
+    between each pair of them, and on both rays."""
+    knots = sorted(set().union(*trace.per_layer_knot_union))
+    points = [
+        knots[0] - 1,
+        *knots,
+        *((a + b) / 2 for a, b in zip(knots, knots[1:])),
+        knots[-1] + 1,
+    ]
+    for x in points:
+        assert [f(x) for f in trace.output_splines] == evaluate(net, x)
 
 
 class TestExtractMetamorphic:
@@ -288,21 +332,57 @@ class TestExtractMetamorphic:
         assert a.output_splines == b.output_splines
         assert a.per_layer_knot_union == b.per_layer_knot_union
 
-    @given(case=roots_on_first_layer_knots())
+    @given(case=roots_on_knots(1))
     def test_root_on_a_first_layer_knot(self, case):
         layers, knot = case
         net = to_network(layers)
         trace = extract(net)
         assert knot in trace.per_layer_knot_union[0]
-        knots = sorted(set().union(*trace.per_layer_knot_union))
-        points = [
-            knots[0] - 1,
-            *knots,
-            *((a + b) / 2 for a, b in zip(knots, knots[1:])),
-            knots[-1] + 1,
-        ]
-        for x in points:
-            assert [f(x) for f in trace.output_splines] == evaluate(net, x)
+        assert_exact_between_knots(net, trace)
+
+
+class TestExtractAgainstReference:
+    """``extract`` against ``reference_extract``, the unit-by-unit
+    ``relu``/``affine_combine`` loop, on the cases where a knot is shared."""
+
+    @given(layers=network_layers())
+    def test_networks_with_zero_weights_and_width_one(self, layers):
+        net = to_network(layers)
+        assert same_as_reference(net, extract(net))
+
+    @given(case=roots_on_knots(2))
+    def test_layer_three_root_on_a_layer_two_knot(self, case):
+        layers, knot = case
+        net = to_network(layers)
+        trace = extract(net)
+        assert knot in trace.per_layer_knot_union[1]
+        assert same_as_reference(net, trace)
+        assert_exact_between_knots(net, trace)
+
+    @given(case=roots_on_another_units_knot())
+    def test_root_on_a_knot_of_another_unit(self, case):
+        layers, knot = case
+        net = to_network(layers)
+        trace = extract(net)
+        assert knot in trace.per_layer_knot_union[1]
+        assert same_as_reference(net, trace)
+        assert_exact_between_knots(net, trace)
+
+    @given(f=splines())
+    def test_shallow_round_trip(self, f):
+        # One unit per knot, weighted by its slope jump, and two units for
+        # the line: the shallow form of Arora et al. 2018 (arXiv:1611.01491).
+        knots = f.knots()
+        a = knots[0] if knots else Q(0)
+        hidden = DenseLayer(
+            [[1]] * len(knots) + [[1], [-1]], [-x for x in knots] + [-a, a]
+        )
+        slope = f.initial_slope
+        output = DenseLayer(
+            [[*(d for _, d in f.breakpoints), slope, -slope]],
+            [f.initial_intercept + slope * a],
+        )
+        assert extract(ScalarInputNetwork((hidden,), output)).output_splines[0] == f
 
 
 class TestValidation:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rationals, splines
+from conftest import rationals, reference_unit_splines, splines
 from relu_knots import LinearSpline, VectorSpline, affine_combine, relu
 from relu_knots.construct import build_first_layer_sawtooth, example_tight_network
 from relu_knots.network import extract
@@ -169,13 +169,9 @@ class TestKnotValueRange:
 
     def test_reference_waves(self):
         net = example_tight_network()
-        trace = extract(net)
-        g2 = affine_combine(
-            zip(net.hidden_layers[1].weights[0], trace.per_layer_neuron_splines[0])
-        )
-        g3 = affine_combine(
-            zip(net.hidden_layers[2].weights[0], trace.per_layer_neuron_splines[1])
-        )
+        units = reference_unit_splines(net)
+        g2 = affine_combine(zip(net.hidden_layers[1].weights[0], units[0]))
+        g3 = affine_combine(zip(net.hidden_layers[2].weights[0], units[1]))
         assert g2.knot_value_range() == (4, 5)
         assert g3.knot_value_range() == (4, 5)
 
