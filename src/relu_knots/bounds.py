@@ -2,12 +2,14 @@
 
 The exact bound for widths (n_1, ..., n_l) is
 
-    sum over i of  n_i * product over j > i of (n_j + 1)
+    (n_1 + 1) * (n_2 + 1) * ... * (n_l + 1) - 1.
 
-with the empty product equal to 1, which is the same as folding the per-layer
-recurrence m -> (n + 1) * m + n from m = 0. Each neuron of a layer can keep
-every incoming knot and can add at most one new knot per affine piece, of
-which there are m + 1; the recurrence is that budget per layer.
+It folds the per-layer recurrence m -> (n + 1) * m + n from m = 0: each
+neuron of a layer can keep every incoming knot and can add at most one new
+knot per affine piece, of which there are m + 1. In terms of pieces the
+fold is (m + 1) -> (n + 1) * (m + 1), so the bound is the product of the
+(n_i + 1), the number of linear regions of a scalar-input network in
+Serban et al. 2018 (arXiv:1711.02114), less the one region that has no knot.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 
 class Tightness(enum.Enum):
@@ -53,23 +57,14 @@ def recurrence_step(m_prev: int, n_i: int) -> int:
 
 
 def bound_prefixes(arch: Architecture) -> list[int]:
-    """Per-layer bounds m_1, ..., m_l obtained by folding the recurrence."""
-    prefixes: list[int] = []
-    m = 0
-    for n in arch.widths:
-        m = recurrence_step(m, n)
-        prefixes.append(m)
-    return prefixes
+    """Per-layer bounds m_1, ..., m_l: the running products of the (n_i + 1),
+    less 1."""
+    return [p - 1 for p in accumulate((n + 1 for n in arch.widths), mul)]
 
 
 def knot_bound(arch: Architecture) -> int:
     """Exact maximum number of knots any network of this shape can produce."""
-    total = 0
-    trailing = 1  # product of (n_j + 1) for j > i, accumulated right to left
-    for n in reversed(arch.widths):
-        total += n * trailing
-        trailing *= n + 1
-    return total
+    return math.prod(n + 1 for n in arch.widths) - 1
 
 
 def approx_bound(arch: Architecture) -> int:

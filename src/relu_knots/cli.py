@@ -6,8 +6,9 @@ optional CSV spline export), ``verify`` (sampling oracle against exact
 extraction, optional random stress search), ``canonicalize`` (forward-facing
 form of a one-hidden-layer network).
 
-Exit codes: 0 success, 2 input error, 3 unattainable architecture,
-4 oracle mismatch, 5 wrong depth. The RELU_KNOTS_SEED environment variable
+Exit codes: 0 success, 1 internal failure (a construction or stress
+search that broke its own guarantee), 2 input error, 3 unattainable
+architecture, 4 oracle mismatch, 5 wrong depth. The RELU_KNOTS_SEED environment variable
 sets the default seed; an explicit --seed wins.
 """
 
@@ -40,6 +41,7 @@ from .spline import LinearSpline
 from .verify import AgreementReport, SamplingConfig, oracle_agreement, stress_bound
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_INELIGIBLE = 3
 EXIT_MISMATCH = 4
@@ -221,6 +223,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.interval:
         interval = tuple(parse_rational(s) for s in args.interval)
     cfg = SamplingConfig(interval, samples=args.samples)
+    if args.trials < 0:  # before the oracle, which takes most of the run
+        raise ValueError(f"trials must be non-negative, got {args.trials}")
     low, high = cfg.interval
     agreement = oracle_agreement(net, cfg)
     payload: dict = {
@@ -373,6 +377,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -5,16 +5,23 @@ affine outputs. Because each unit applies max(0, .) to an affine combination
 of piecewise-linear functions, every intermediate signal is a linear spline;
 ``extract`` computes those splines exactly, layer by layer, so that knots can
 be counted rather than estimated.
+
+Every knot of layer i is a knot of layer i-1 that was kept, or a new ReLU
+root. So ``extract`` keeps one sorted grid per layer, the union U_i of its
+units' knots, and a unit is its knots as indices into that grid with
+integer slopes over one denominator per layer, D_i = L_1 ... L_i.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import mul
 
 from .bounds import Architecture
 from .rational import Rational, RationalLike, as_rational, make_rational, scaled_rows
-from .spline import LinearSpline, VectorSpline, affine_combine, relu
+from .spline import LinearSpline, VectorSpline
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,9 +138,8 @@ def evaluate(net: ScalarInputNetwork, x: RationalLike) -> list[Rational]:
 
 @dataclass(frozen=True, slots=True)
 class ExtractionTrace:
-    """Everything the layer-by-layer extraction produced."""
+    """The output splines, and the knot union U_i of every hidden layer."""
 
-    per_layer_neuron_splines: tuple[VectorSpline, ...]
     output_splines: VectorSpline
     per_layer_knot_union: tuple[tuple[Rational, ...], ...]
 
@@ -141,36 +147,154 @@ class ExtractionTrace:
         return self.output_splines.knot_union()
 
 
-def extract(net: ScalarInputNetwork) -> ExtractionTrace:
-    """Compute the exact spline of every unit and of every output.
+# One spline on a layer's grid, times the layer's denominator D: its initial
+# slope and intercept (ints), its knots (ascending grid indices) and the
+# slope jumps at them (ints).
+_Unit = tuple[int, int, list[int], list[int]]
+# A new ReLU root: its location, and the grid range [lo, hi) of the points
+# strictly between the neighbouring knots of its unit.
+_Root = tuple[Rational, int, int]
 
-    Unit k of the first layer is relu of the input line; deeper units apply
-    relu to the affine combination of the previous layer's splines; outputs
-    are affine combinations without relu. The result agrees with ``evaluate``
-    at every point.
+
+def _combine(row: tuple[int, ...], units: list[_Unit], bias: int) -> _Unit:
+    """``sum(row[j] * units[j]) + bias`` in ints; jumps that cancel are dropped."""
+    slope, intercept = 0, bias
+    jumps: dict[int, int] = {}
+    for w, (s, c, knots, deltas) in zip(row, units):
+        if w:
+            slope += w * s
+            intercept += w * c
+            for k, d in zip(knots, deltas):
+                jumps[k] = jumps.get(k, 0) + w * d
+    knots = sorted(k for k, d in jumps.items() if d)
+    return slope, intercept, knots, [jumps[k] for k in knots]
+
+
+def _relu(unit: _Unit, grid: list[Rational], roots: list[_Root]) -> _Unit:
+    """``max(0, unit)``. A knot keeps its grid index. A root where the unit
+    strictly changes sign is appended to ``roots`` and keyed by
+    len(grid) + its position there, until ``_regrid`` places it.
+
+    At a knot with value v, the one-sided slopes of the output are those of
+    the unit where it is positive on that side, else 0, and the knot stays
+    when they differ. A root always stays, with jump |slope|.
     """
-    per_layer: list[VectorSpline] = []
-    unions: list[tuple[Rational, ...]] = []
-    current: list[LinearSpline] = []
-    for i, layer in enumerate(net.hidden_layers):
-        if i == 0:
-            current = [
-                relu(LinearSpline.line(row[0], b))
-                for row, b in zip(layer.weights, layer.biases)
-            ]
+    slope, intercept, knots, deltas = unit
+    n = len(grid)
+    # left of everything the output is the unit where it is positive, else 0
+    out_slope = slope if slope < 0 else 0
+    out_intercept = intercept if slope < 0 else max(0, intercept) if slope == 0 else 0
+    out_knots: list[int] = []
+    out_jumps: list[int] = []
+
+    def root(x: Rational, lo: int, hi: int, s: int) -> None:
+        out_knots.append(n + len(roots))
+        out_jumps.append(abs(s))
+        roots.append((x, lo, hi))
+
+    if not knots:
+        if slope:
+            root(make_rational(-intercept, slope), 0, n, slope)
+        return out_slope, out_intercept, out_knots, out_jumps
+    x = grid[knots[0]]
+    v = slope * x + intercept  # D times the unit's value at its first knot
+    sign = (v.numerator > 0) - (v.numerator < 0)  # denominators are positive
+    if slope and sign == (1 if slope > 0 else -1):
+        root(x - v / slope, 0, knots[0], slope)
+    prev_k, prev_x, prev_v, prev_sign = -1, x, v, sign
+    for k, d in zip(knots, deltas):
+        if prev_k >= 0:
+            x = grid[k]
+            v = prev_v + slope * (x - prev_x)
+            sign = (v.numerator > 0) - (v.numerator < 0)
+            if sign * prev_sign < 0:
+                root(prev_x - prev_v / slope, prev_k + 1, k, slope)
+        right = slope + d
+        out_left = slope if sign > 0 or (sign == 0 and slope < 0) else 0
+        out_right = right if sign > 0 or (sign == 0 and right > 0) else 0
+        if out_left != out_right:
+            out_knots.append(k)
+            out_jumps.append(out_right - out_left)
+        prev_k, prev_x, prev_v, prev_sign, slope = k, x, v, sign, right
+    if slope and sign == (-1 if slope > 0 else 1):
+        root(x - v / slope, prev_k + 1, n, slope)
+    return out_slope, out_intercept, out_knots, out_jumps
+
+
+def _regrid(
+    grid: list[Rational], roots: list[_Root], units: list[_Unit]
+) -> tuple[list[Rational], list[_Unit]]:
+    """The next grid, and the units re-keyed onto it.
+
+    Each root is found by bisection inside its range. A root equal to a grid
+    point is that point; the others are sorted within their grid cell. Grid
+    points that no unit uses any more are dropped.
+    """
+    n = len(grid)
+    used = [False] * n
+    for _, _, knots, _ in units:
+        for k in knots:
+            if k < n:
+                used[k] = True
+    cells: defaultdict[int, list[tuple[Rational, int]]] = defaultdict(list)
+    on_grid = []
+    for r, (x, lo, hi) in enumerate(roots, start=n):
+        t = bisect_left(grid, x, lo, hi)
+        if t < hi and grid[t] == x:
+            used[t] = True
+            on_grid.append((r, t))
         else:
-            previous = current
-            current = [
-                relu(affine_combine(zip(row, previous), b))
-                for row, b in zip(layer.weights, layer.biases)
-            ]
-        vector = VectorSpline(tuple(current))
-        per_layer.append(vector)
-        unions.append(tuple(vector.knot_union()))
-    outputs = VectorSpline(
-        tuple(
-            affine_combine(zip(row, current), b)
-            for row, b in zip(net.output_layer.weights, net.output_layer.biases)
-        )
+            cells[t].append((x, r))
+    key = [0] * (n + len(roots))  # old grid index or root key -> new index
+    points: list[Rational] = []
+    for t in range(n + 1):
+        for x, r in sorted(cells.get(t, ())):
+            if not points or points[-1] != x:
+                points.append(x)
+            key[r] = len(points) - 1
+        if t < n and used[t]:
+            key[t] = len(points)
+            points.append(grid[t])
+    for r, t in on_grid:
+        key[r] = key[t]
+    return points, [(s, c, [key[k] for k in knots], d) for s, c, knots, d in units]
+
+
+def extract(net: ScalarInputNetwork) -> ExtractionTrace:
+    """Compute the exact spline of every output, and each hidden layer's
+    knot union.
+
+    The input is the line x on an empty grid. Each hidden layer combines the
+    units below in integers, applies relu, and moves to a new grid; outputs
+    are affine combinations without relu. The result agrees with
+    ``evaluate`` at every point.
+    """
+    grid: list[Rational] = []
+    units: list[_Unit] = [(1, 0, [], [])]
+    den = 1
+    unions = []
+    for layer in net.hidden_layers:
+        lcd, rows, biases = layer.integer_form()
+        roots: list[_Root] = []
+        units = [
+            _relu(_combine(row, units, b * den), grid, roots) for row, b in zip(rows, biases)
+        ]
+        den *= lcd
+        grid, units = _regrid(grid, roots, units)
+        unions.append(tuple(grid))
+    lcd, rows, biases = net.output_layer.integer_form()
+    outputs = [_combine(row, units, b * den) for row, b in zip(rows, biases)]
+    den *= lcd
+    return ExtractionTrace(
+        VectorSpline(
+            tuple(
+                LinearSpline._unchecked(
+                    make_rational(slope, den),
+                    make_rational(intercept, den),
+                    tuple((grid[k], make_rational(d, den)) for k, d in zip(knots, deltas)),
+                )
+                for slope, intercept, knots, deltas in outputs
+            )
+        ),
+        tuple(unions),
     )
-    return ExtractionTrace(tuple(per_layer), outputs, tuple(unions))

@@ -50,6 +50,21 @@ class LinearSpline:
             prev = x
 
     @classmethod
+    def _unchecked(
+        cls,
+        initial_slope: Rational,
+        initial_intercept: Rational,
+        breakpoints: tuple[Breakpoint, ...],
+    ) -> LinearSpline:
+        """A spline from rationals of the backend type already in canonical
+        form; ``__post_init__`` and its checks are skipped."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "initial_slope", initial_slope)
+        object.__setattr__(f, "initial_intercept", initial_intercept)
+        object.__setattr__(f, "breakpoints", breakpoints)
+        return f
+
+    @classmethod
     def line(cls, slope: RationalLike, intercept: RationalLike) -> LinearSpline:
         return cls(as_rational(slope), as_rational(intercept))
 

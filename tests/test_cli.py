@@ -8,6 +8,7 @@ import pytest
 
 from conftest import seeded_points
 from relu_knots import evaluate, load_network, parse_rational, save_network
+from relu_knots import cli
 from relu_knots.cli import main
 from relu_knots.construct import example_tight_network
 
@@ -107,6 +108,16 @@ class TestBuild:
         assert main(["build", "2", "5"]) == 3
         err = capsys.readouterr().err
         assert "layer 1" in err and "2" in err
+
+    def test_failed_construction_exits_1(self, monkeypatch, capsys):
+        def broken(arch):
+            raise RuntimeError("construction produced 82 knots, expected 83")
+
+        monkeypatch.setattr(cli, "build_tight_network", broken)
+        assert main(["build", "6", "3", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: construction produced 82 knots, expected 83\n"
 
     def test_unit_final_layer_exits_3(self, capsys):
         assert main(["build", "3", "1"]) == 3
@@ -324,7 +335,6 @@ class TestVerify:
                 crippled.breakpoints[1:],
             )
             return type(trace)(
-                trace.per_layer_neuron_splines,
                 VectorSpline((truncated,)),
                 trace.per_layer_knot_union,
             )
@@ -354,10 +364,21 @@ class TestVerify:
     def test_malformed_interval_exits_2(self, reference_file, capsys):
         assert main(["verify", reference_file, "--interval", "a", "b"]) == 2
 
-    def test_negative_trials_exits_2(self, shallow_file, capsys):
+    def test_negative_trials_exits_2(self, shallow_file, monkeypatch, capsys):
+        def no_oracle(*args):
+            raise AssertionError("the oracle ran before the trial count was checked")
+
+        monkeypatch.setattr(cli, "oracle_agreement", no_oracle)
         assert main(["verify", shallow_file, "--samples", "1001", "--trials", "-3"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "trials" in err
+        assert capsys.readouterr().err == "error: trials must be non-negative, got -3\n"
+
+    def test_failed_stress_search_exits_1(self, shallow_file, monkeypatch, capsys):
+        def broken(*args):
+            raise RuntimeError("trial 0: 9 knots exceed the bound 8")
+
+        monkeypatch.setattr(cli, "stress_bound", broken)
+        assert main(["verify", shallow_file, "--samples", "1001", "--trials", "1"]) == 1
+        assert capsys.readouterr().err == "error: trial 0: 9 knots exceed the bound 8\n"
 
     def test_constant_network_agrees_on_zero(self, tmp_path, capsys):
         path = tmp_path / "constant.json"
