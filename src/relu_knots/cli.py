@@ -8,8 +8,8 @@ form of a one-hidden-layer network).
 
 Exit codes: 0 success, 1 internal failure (a construction or stress
 search that broke its own guarantee), 2 input error, 3 unattainable
-architecture, 4 oracle mismatch, 5 wrong depth. The RELU_KNOTS_SEED environment variable
-sets the default seed; an explicit --seed wins.
+architecture, 4 oracle mismatch, 5 wrong depth. The RELU_KNOTS_SEED
+environment variable sets the default seed; an explicit --seed wins.
 """
 
 from __future__ import annotations
@@ -178,8 +178,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     net = _load(args.network)
     trace = extract(net)
     per_layer_knots, outputs = trace.per_layer_knot_union, trace.output_splines
-    # drop every unit's spline before the CSV rows are built: it lowers peak memory
-    del trace
     if args.csv:
         write_spline_csv(outputs, args.csv)
     output_knots = outputs.knot_union()

@@ -15,7 +15,6 @@ integer slopes over one denominator per layer, D_i = L_1 ... L_i.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -236,7 +235,7 @@ def _regrid(
         for k in knots:
             if k < n:
                 used[k] = True
-    cells: defaultdict[int, list[tuple[Rational, int]]] = defaultdict(list)
+    cells: dict[int, list[tuple[Rational, int]]] = {}  # new roots by grid cell
     on_grid = []
     for r, (x, lo, hi) in enumerate(roots, start=n):
         t = bisect_left(grid, x, lo, hi)
@@ -244,7 +243,7 @@ def _regrid(
             used[t] = True
             on_grid.append((r, t))
         else:
-            cells[t].append((x, r))
+            cells.setdefault(t, []).append((x, r))
     key = [0] * (n + len(roots))  # old grid index or root key -> new index
     points: list[Rational] = []
     for t in range(n + 1):

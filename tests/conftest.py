@@ -88,8 +88,5 @@ def extractions_match_reference(monkeypatch):
         if getattr(module, "__dict__", {}).get("extract") is real_extract:
             monkeypatch.setattr(module, "extract", recording_extract)
     yield
-    checked = set()
-    for net, trace in seen:
-        if net not in checked:
-            checked.add(net)
-            assert same_as_reference(net, trace), f"extract is not the reference on {net.widths}"
+    for net, trace in dict(seen).items():
+        assert same_as_reference(net, trace), f"extract is not the reference on {net.widths}"
