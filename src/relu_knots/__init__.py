@@ -28,7 +28,7 @@ from .network import (
     extract,
 )
 from .rational import Rational, as_rational, format_rational, parse_rational
-from .spline import LinearSpline, VectorSpline, affine_combine, relu
+from .spline import LinearSpline, affine_combine, relu
 from .verify import (
     AgreementReport,
     SamplingConfig,
@@ -58,7 +58,6 @@ __all__ = [
     "SchemaError",
     "StressReport",
     "Tightness",
-    "VectorSpline",
     "affine_combine",
     "approx_bound",
     "as_rational",

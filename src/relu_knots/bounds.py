@@ -42,10 +42,6 @@ class Architecture:
         if self.output_dim < 1:
             raise ValueError("output_dim must be positive")
 
-    @property
-    def depth(self) -> int:
-        return len(self.widths)
-
 
 def recurrence_step(m_prev: int, n_i: int) -> int:
     """Maximum knots after one more layer of width n_i: (n_i + 1) * m + n_i."""

@@ -7,9 +7,11 @@ extraction, optional random stress search), ``canonicalize`` (forward-facing
 form of a one-hidden-layer network).
 
 Exit codes: 0 success, 1 internal failure (a construction or stress
-search that broke its own guarantee), 2 input error, 3 unattainable
-architecture, 4 oracle mismatch, 5 wrong depth. The RELU_KNOTS_SEED
-environment variable sets the default seed; an explicit --seed wins.
+search that broke its own guarantee), 2 input error (an input too large
+for memory included: one ``error: out of memory`` line, no traceback), 3
+unattainable architecture, 4 oracle mismatch, 5 wrong depth. The
+RELU_KNOTS_SEED environment variable sets the default seed; an explicit
+--seed wins.
 """
 
 from __future__ import annotations
@@ -177,10 +179,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     net = _load(args.network)
     trace = extract(net)
-    per_layer_knots, outputs = trace.per_layer_knot_union, trace.output_splines
+    per_layer_knots, output_knots = trace.per_layer_knot_union, trace.output_knot_union()
     if args.csv:
-        write_spline_csv(outputs, args.csv)
-    output_knots = outputs.knot_union()
+        write_spline_csv(trace.output_splines, args.csv)
     arch = net.architecture
     bound = knot_bound(arch)
     payload = {
@@ -374,6 +375,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

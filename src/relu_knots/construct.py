@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .bounds import Architecture, knot_bound, recurrence_step, tightness_eligibility
 from .network import DenseLayer, ScalarInputNetwork, extract
 from .rational import Rational, RationalLike, as_rational, make_rational
-from .spline import LinearSpline, VectorSpline, affine_combine
+from .spline import LinearSpline, affine_combine
 
 # Output-layer magnification of the last sawtooth; any positive value works,
 # this one matches the bundled reference network.
@@ -55,7 +55,7 @@ class SawtoothWitness:
         low, high = self.oscillation_range
         return high - low
 
-    def combination(self, units: VectorSpline) -> LinearSpline:
+    def combination(self, units: tuple[LinearSpline, ...]) -> LinearSpline:
         """The certified sawtooth, as an exact spline over the unit splines."""
         return affine_combine(zip(self.combination_weights, units))
 

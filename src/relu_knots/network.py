@@ -20,7 +20,7 @@ from operator import mul
 
 from .bounds import Architecture
 from .rational import Rational, RationalLike, as_rational, make_rational, scaled_rows
-from .spline import LinearSpline, VectorSpline
+from .spline import LinearSpline
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,13 +137,15 @@ def evaluate(net: ScalarInputNetwork, x: RationalLike) -> list[Rational]:
 
 @dataclass(frozen=True, slots=True)
 class ExtractionTrace:
-    """The output splines, and the knot union U_i of every hidden layer."""
+    """The output splines, the knot union U_i of every hidden layer, and the
+    union of the outputs' knots."""
 
-    output_splines: VectorSpline
+    output_splines: tuple[LinearSpline, ...]
     per_layer_knot_union: tuple[tuple[Rational, ...], ...]
+    output_knots: tuple[Rational, ...]
 
     def output_knot_union(self) -> list[Rational]:
-        return self.output_splines.knot_union()
+        return list(self.output_knots)
 
 
 # One spline on a layer's grid, times the layer's denominator D: its initial
@@ -265,8 +267,9 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
 
     The input is the line x on an empty grid. Each hidden layer combines the
     units below in integers, applies relu, and moves to a new grid; outputs
-    are affine combinations without relu. The result agrees with
-    ``evaluate`` at every point.
+    are affine combinations without relu, and the union of their knots is
+    read off the final grid by index. The result agrees with ``evaluate``
+    at every point.
     """
     grid: list[Rational] = []
     units: list[_Unit] = [(1, 0, [], [])]
@@ -285,15 +288,14 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
     outputs = [_combine(row, units, b * den) for row, b in zip(rows, biases)]
     den *= lcd
     return ExtractionTrace(
-        VectorSpline(
-            tuple(
-                LinearSpline._unchecked(
-                    make_rational(slope, den),
-                    make_rational(intercept, den),
-                    tuple((grid[k], make_rational(d, den)) for k, d in zip(knots, deltas)),
-                )
-                for slope, intercept, knots, deltas in outputs
+        tuple(
+            LinearSpline._unchecked(
+                make_rational(slope, den),
+                make_rational(intercept, den),
+                tuple((grid[k], make_rational(d, den)) for k, d in zip(knots, deltas)),
             )
+            for slope, intercept, knots, deltas in outputs
         ),
         tuple(unions),
+        tuple(grid[k] for k in sorted({k for _, _, knots, _ in outputs for k in knots})),
     )

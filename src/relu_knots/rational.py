@@ -2,12 +2,14 @@
 
 Every value in this package is an exact rational: reduced, arbitrary
 precision, positive denominator. The backing type is ``gmpy2.mpq`` when
-gmpy2 is importable (a C implementation, roughly 5x faster here) and
-``fractions.Fraction`` otherwise; the two interoperate and hash identically,
-so which one is active is invisible to callers. Floats are rejected at the
-API boundary: knot existence is an equality question (is a slope change
-zero, does a root coincide with a breakpoint) and binary rounding would make
-the answers depend on how the inputs happened to be written.
+gmpy2 is importable and ``fractions.Fraction`` otherwise; the two
+interoperate and hash identically, so which one is active is invisible to
+callers. Neither the tests nor the benchmark run the gmpy2 backend, and
+``evaluate``, ``eval_canonical`` and ``extract`` do their arithmetic in
+Python ints. Floats are rejected at the API boundary: knot existence is an
+equality question (is a slope change zero, does a root coincide with a
+breakpoint) and binary rounding would make the answers depend on how the
+inputs happened to be written.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     Rational = Fraction
 
 ZERO = make_rational(0)
+
+# the context of every decimal_str division: 20 significant digits
+_DECIMAL = decimal.Context(prec=20)
 
 # accepted by as_rational everywhere a rational is expected
 RationalLike = int | str | Fraction | Rational
@@ -76,10 +81,8 @@ def format_rational(value: Rational | Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def decimal_str(value: Rational | Fraction, significant_digits: int = 20) -> str:
-    """Decimal rendering for plotting; the rational string stays authoritative."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = significant_digits
-        return str(
-            decimal.Decimal(int(value.numerator)) / decimal.Decimal(int(value.denominator))
-        )
+def decimal_str(value: Rational | Fraction) -> str:
+    """Decimal rendering to 20 significant digits, for plotting; the rational
+    string stays authoritative."""
+    num, den = decimal.Decimal(int(value.numerator)), decimal.Decimal(int(value.denominator))
+    return str(_DECIMAL.divide(num, den))

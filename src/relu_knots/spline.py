@@ -19,7 +19,7 @@ All values are exact rationals (see ``rational``); nothing here touches floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .rational import ZERO, Rational, RationalLike, as_rational
 
@@ -200,27 +200,3 @@ def relu(f: LinearSpline) -> LinearSpline:
     intercept = anchor - out_initial_slope * first_x
     return LinearSpline(out_initial_slope, intercept, tuple(breakpoints))
 
-
-@dataclass(frozen=True, slots=True)
-class VectorSpline:
-    """A fixed-length tuple of splines, one per output component."""
-
-    components: tuple[LinearSpline, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        if not self.components:
-            raise ValueError("VectorSpline needs at least one component")
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self) -> Iterator[LinearSpline]:
-        return iter(self.components)
-
-    def __getitem__(self, index: int) -> LinearSpline:
-        return self.components[index]
-
-    def knot_union(self) -> list[Rational]:
-        """Sorted union of knot locations across all components."""
-        return sorted({x for f in self.components for x, _ in f.breakpoints})

@@ -202,7 +202,7 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
     end point.
     """
     low, high = cfg.interval
-    knots = extract(net).output_splines.knot_union()
+    knots = extract(net).output_knot_union()
     exact = tuple(x for x in knots if low < x < high)
     detected = tuple(detect_knots_by_sampling(net, cfg))
     max_error: float | None = None
@@ -313,7 +313,7 @@ def stress_bound(arch: Architecture, trials: int, seed: int) -> StressReport:
     max_observed = 0
     for trial in range(trials):
         net = random_network(rng, arch)
-        count = len(extract(net).output_splines.knot_union())
+        count = len(extract(net).output_knot_union())
         if count > bound:
             raise RuntimeError(
                 f"bound violated: {count} > {bound} for widths {arch.widths} "

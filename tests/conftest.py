@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from relu_knots import LinearSpline, VectorSpline, affine_combine, relu
+from relu_knots import LinearSpline, affine_combine, relu
 from relu_knots.network import extract as real_extract
 
 rationals = st.fractions(
@@ -52,22 +52,29 @@ def reference_unit_splines(net) -> list[list[LinearSpline]]:
     return layers
 
 
-def reference_extract(net) -> tuple[tuple[tuple, ...], VectorSpline]:
-    """Per-layer knot unions and output splines from the unit-by-unit
-    reference, the slow path that ``extract`` must agree with."""
+def knot_union(splines) -> tuple:
+    """The sorted knot locations of all the splines, each once."""
+    return tuple(sorted({x for f in splines for x in f.knots()}))
+
+
+def reference_extract(net) -> tuple[tuple[tuple, ...], tuple[LinearSpline, ...], tuple]:
+    """Per-layer knot unions, output splines and the union of the outputs'
+    knots from the unit-by-unit reference, the slow path that ``extract``
+    must agree with."""
     layers = reference_unit_splines(net)
-    outputs = VectorSpline(
-        tuple(
-            affine_combine(zip(row, layers[-1]), b)
-            for row, b in zip(net.output_layer.weights, net.output_layer.biases)
-        )
+    outputs = tuple(
+        affine_combine(zip(row, layers[-1]), b)
+        for row, b in zip(net.output_layer.weights, net.output_layer.biases)
     )
-    unions = tuple(tuple(VectorSpline(tuple(units)).knot_union()) for units in layers)
-    return unions, outputs
+    return tuple(knot_union(units) for units in layers), outputs, knot_union(outputs)
 
 
 def same_as_reference(net, trace) -> bool:
-    return (trace.per_layer_knot_union, trace.output_splines) == reference_extract(net)
+    return (
+        trace.per_layer_knot_union,
+        trace.output_splines,
+        trace.output_knots,
+    ) == reference_extract(net)
 
 
 @pytest.fixture(autouse=True)

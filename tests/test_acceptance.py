@@ -25,7 +25,7 @@ from relu_knots import (
     to_forward_facing,
 )
 from relu_knots.construct import build_first_layer_sawtooth, build_inductive_layer, example_tight_network
-from relu_knots.spline import LinearSpline, VectorSpline
+from relu_knots.spline import LinearSpline
 from relu_knots.verify import SamplingConfig, oracle_agreement, random_network
 
 
@@ -179,13 +179,11 @@ def test_criterion_6_sawtooth_invariants():
     # inductive layers: consecutive knot values move by exactly 1/(2n+1)
     for n_i in (3, 5, 7):
         first, witness = build_first_layer_sawtooth(3)
-        units = VectorSpline(tuple(_first_layer_units(3)))
+        units = tuple(_first_layer_units(3))
         layer, new_witness = build_inductive_layer(witness, n_i)
-        new_units = VectorSpline(
-            tuple(
-                relu(affine_combine(zip(row, units), b))
-                for row, b in zip(layer.weights, layer.biases)
-            )
+        new_units = tuple(
+            relu(affine_combine(zip(row, units), b))
+            for row, b in zip(layer.weights, layer.biases)
         )
         wave = new_witness.combination(new_units)
         values = wave.knot_values()

@@ -273,6 +273,16 @@ class TestAnalyzeCsv:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_out_of_memory_exits_2(self, reference_file, monkeypatch, capsys):
+        def exhausted(net):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "extract", exhausted)
+        assert main(["analyze", reference_file, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: the input is too large\n"
+
 
 class TestVerify:
     def test_agreement_on_built_network(self, tmp_path, capsys):
@@ -327,7 +337,7 @@ class TestVerify:
             trace = real_extract(net)
             # drop the first output knot: counts no longer match detections
             crippled = trace.output_splines[0]
-            from relu_knots.spline import LinearSpline, VectorSpline
+            from relu_knots.spline import LinearSpline
 
             truncated = LinearSpline(
                 crippled.initial_slope,
@@ -335,8 +345,9 @@ class TestVerify:
                 crippled.breakpoints[1:],
             )
             return type(trace)(
-                VectorSpline((truncated,)),
+                (truncated,),
                 trace.per_layer_knot_union,
+                trace.output_knots[1:],
             )
 
         monkeypatch.setattr(verify_mod, "extract", lying_extract)

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import reference_unit_splines
+from conftest import knot_union, reference_unit_splines
 from relu_knots import (
     Architecture,
     DenseLayer,
@@ -61,9 +61,7 @@ class TestFirstLayerSawtooth:
 
 
 def extract_layer(layer: DenseLayer):
-    from relu_knots.spline import VectorSpline
-
-    return VectorSpline(tuple(layer_splines(layer)))
+    return tuple(layer_splines(layer))
 
 
 def build_prefix(widths: tuple[int, ...]):
@@ -79,13 +77,8 @@ def build_prefix(widths: tuple[int, ...]):
 
 
 def _apply(layer: DenseLayer, units):
-    from relu_knots.spline import VectorSpline
-
-    return VectorSpline(
-        tuple(
-            relu(affine_combine(zip(row, units), b))
-            for row, b in zip(layer.weights, layer.biases)
-        )
+    return tuple(
+        relu(affine_combine(zip(row, units), b)) for row, b in zip(layer.weights, layer.biases)
     )
 
 
@@ -114,8 +107,8 @@ class TestInductiveLayer:
     def test_knot_provenance(self):
         hidden, witness, units = build_prefix((4, 3))
         prev_units = extract_layer(hidden[0])
-        prev_knots = set(prev_units.knot_union())
-        new_knots = set(units.knot_union())
+        prev_knots = set(knot_union(prev_units))
+        new_knots = set(knot_union(units))
         assert prev_knots <= new_knots  # every old knot preserved
         created = new_knots - prev_knots
         assert len(created) == 3 * (len(prev_knots) + 1)  # one per unit per piece
@@ -137,14 +130,14 @@ class TestFinalLayer:
         hidden, witness, units = build_prefix((5,))
         final = build_final_layer(witness, 2)
         final_units = _apply(final, units)
-        assert len(final_units.knot_union()) == recurrence_step(5, 2)
+        assert len(knot_union(final_units)) == recurrence_step(5, 2)
 
     def test_four_units_on_deeper_prefix(self):
         hidden, witness, units = build_prefix((3, 3))
         assert witness.expected_knots == 15
         final = build_final_layer(witness, 4)
         final_units = _apply(final, units)
-        assert len(final_units.knot_union()) == 79 == recurrence_step(15, 4)
+        assert len(knot_union(final_units)) == 79 == recurrence_step(15, 4)
 
     def test_rejects_single_unit(self):
         _, witness = build_first_layer_sawtooth(3)

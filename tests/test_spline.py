@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals, reference_unit_splines, splines
-from relu_knots import LinearSpline, VectorSpline, affine_combine, relu
+from relu_knots import LinearSpline, affine_combine, relu
 from relu_knots.construct import build_first_layer_sawtooth, example_tight_network
 from relu_knots.network import extract
 
@@ -197,15 +197,6 @@ class TestCanonicalForm:
         with pytest.raises(TypeError):
             LinearSpline.line(0.5, 0)
 
-
-class TestVectorSpline:
-    def test_needs_a_component(self):
-        with pytest.raises(ValueError):
-            VectorSpline(())
-
-    def test_knot_union_is_sorted_and_deduplicated(self):
-        v = VectorSpline((SIGMA, LinearSpline(0, 0, ((Q(-1), Q(1)), (Q(0), Q(2)))) ))
-        assert v.knot_union() == [Q(-1), Q(0)]
 
 
 @given(a=rationals, b=rationals, c=rationals, f=splines(), g=splines(), x=rationals)

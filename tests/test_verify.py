@@ -130,7 +130,7 @@ class TestDetection:
     def test_no_false_positives_between_knots(self):
         # Sample strictly inside one affine piece of the reference wave.
         net = build_tight_network(Architecture((6, 3, 2), output_dim=2))
-        knots = extract(net).output_splines.knot_union()
+        knots = extract(net).output_knot_union()
         lo, hi = knots[40], knots[41]
         pad = (hi - lo) / 10
         cfg = SamplingConfig((lo + pad, hi - pad), samples=501)
