@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .network import ScalarInputNetwork
-from .rational import ZERO, Rational, RationalLike, as_rational, make_rational, scaled_rows
+from .rational import ZERO, Rational, RationalLike, as_rational, scaled_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -137,4 +137,4 @@ def eval_canonical(form: CanonicalShallowForm, x: RationalLike) -> list[Rational
     terms = [r if (r := nk - xj * d) > 0 else 0 for xj in knots]
     terms += (nk, knot_lcd * d)
     den = lcd * knot_lcd * d
-    return [make_rational(sum(map(mul, row, terms)), den) for row in rows]
+    return [Rational(sum(map(mul, row, terms)), den) for row in rows]

@@ -7,11 +7,11 @@ extraction, optional random stress search), ``canonicalize`` (forward-facing
 form of a one-hidden-layer network).
 
 Exit codes: 0 success, 1 internal failure (a construction or stress
-search that broke its own guarantee), 2 input error (an input too large
-for memory included: one ``error: out of memory`` line, no traceback), 3
-unattainable architecture, 4 oracle mismatch, 5 wrong depth. The
-RELU_KNOTS_SEED environment variable sets the default seed; an explicit
---seed wins.
+search that broke its own guarantee), 2 input error (a ``build`` of more
+than 100,000 knots and an input too large for memory included: one ``error:
+out of memory`` line, no traceback), 3 unattainable architecture, 4 oracle
+mismatch, 5 wrong depth. The RELU_KNOTS_SEED environment variable sets the
+default seed; an explicit --seed wins.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .canonical import eval_canonical, to_forward_facing
 from .construct import build_tight_network
 from .jsonio import SchemaError, load_network, network_to_dict, save_network
 from .network import ScalarInputNetwork, evaluate, extract
-from .rational import Rational, decimal_str, format_rational, make_rational, parse_rational
+from .rational import Rational, decimal_str, format_rational, parse_rational
 from .spline import LinearSpline
 from .verify import AgreementReport, SamplingConfig, oracle_agreement, stress_bound
 
@@ -48,6 +48,8 @@ EXIT_INPUT = 2
 EXIT_INELIGIBLE = 3
 EXIT_MISMATCH = 4
 EXIT_DEPTH = 5
+
+BUILD_KNOT_LIMIT = 100_000  # (45, 45, 45): 97,335 knots, 3.5 s and 90 MB on one x86 core
 
 
 CSV_COLUMNS = [
@@ -127,12 +129,6 @@ def _load(path: str) -> ScalarInputNetwork:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _random_rational_points(rng: random.Random, count: int) -> list[Rational]:
-    return [
-        make_rational(rng.randint(-1000, 1000), rng.randint(1, 100)) for _ in range(count)
-    ]
-
-
 def cmd_bound(args: argparse.Namespace) -> int:
     arch = Architecture(args.widths, output_dim=args.p)
     report = {
@@ -164,8 +160,13 @@ def cmd_build(args: argparse.Namespace) -> int:
             f"cannot attain the bound for widths {list(arch.widths)}: {reason}",
             EXIT_INELIGIBLE,
         )
-    net = build_tight_network(arch)  # raises unless the outputs reach the bound
     bound = knot_bound(arch)
+    if bound > BUILD_KNOT_LIMIT:
+        raise ValueError(
+            f"widths {list(arch.widths)} ask for {bound} knots, "
+            f"above build's limit of {BUILD_KNOT_LIMIT}"
+        )
+    net = build_tight_network(arch)  # raises unless the outputs reach the bound
     if args.out:
         save_network(net, args.out)
         print(f"wrote {args.out}")
@@ -299,7 +300,7 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
     form = to_forward_facing(net)
     seed = _resolve_seed(args)
     rng = random.Random(seed)
-    points = _random_rational_points(rng, 100)
+    points = [Rational(rng.randint(-1000, 1000), rng.randint(1, 100)) for _ in range(100)]
     matched = all(evaluate(net, x) == eval_canonical(form, x) for x in points)
     payload = {
         "knot_locations": [format_rational(x) for x in form.knot_locations],

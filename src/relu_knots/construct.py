@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .bounds import Architecture, knot_bound, recurrence_step, tightness_eligibility
 from .network import DenseLayer, ScalarInputNetwork, extract
-from .rational import Rational, RationalLike, as_rational, make_rational
+from .rational import Rational, RationalLike, as_rational
 from .spline import LinearSpline, affine_combine
 
 # Output-layer magnification of the last sawtooth; any positive value works,
@@ -65,7 +65,7 @@ def _alternating_weights(n: int) -> list[RationalLike]:
     weights = []
     for k in range(1, n + 1):
         if k == 1:
-            weights.append(make_rational(3, 2))
+            weights.append(Rational(3, 2))
         elif k % 2 == 0:
             weights.append(-1)
         else:
@@ -113,11 +113,11 @@ def build_inductive_layer(
     for k in range(1, n_i + 1):
         sign = -1 if k == 3 else 1
         weights.append(tuple(sign * a / span for a in prev.combination_weights))
-        biases.append(-sign * (low / span + make_rational(2 * k - 1, denom)))
+        biases.append(-sign * (low / span + Rational(2 * k - 1, denom)))
     witness = SawtoothWitness(
         tuple(_alternating_weights(n_i)),
         recurrence_step(prev.expected_knots, n_i),
-        (make_rational(4, denom), make_rational(5, denom)),
+        (Rational(4, denom), Rational(5, denom)),
     )
     return DenseLayer(tuple(weights), tuple(biases)), witness
 
@@ -144,7 +144,7 @@ def build_final_layer(prev: SawtoothWitness, n_l: int) -> DenseLayer:
     biases = []
     for k in range(1, n_l + 1):
         sign = -1 if k % 2 == 0 else 1
-        threshold = low + make_rational(k, n_l + 1) * span
+        threshold = low + Rational(k, n_l + 1) * span
         weights.append(tuple(sign * FINAL_LAYER_SCALE * a for a in prev.combination_weights))
         biases.append(-sign * FINAL_LAYER_SCALE * threshold)
     return DenseLayer(tuple(weights), tuple(biases))
@@ -208,7 +208,7 @@ def example_tight_network() -> ScalarInputNetwork:
     Parameters are written out literally; the test suite checks they are
     exactly what ``build_tight_network`` generates for this shape.
     """
-    q = make_rational
+    q = Rational
     layer1 = DenseLayer(
         weights=((q(1),), (q(1),), (q(-1),), (q(1),), (q(1),), (q(1),)),
         biases=(q(0), q(-1), q(2), q(-3), q(-4), q(-5)),

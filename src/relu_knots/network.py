@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .bounds import Architecture
-from .rational import Rational, RationalLike, as_rational, make_rational, scaled_rows
+from .rational import Rational, RationalLike, as_rational, scaled_rows
 from .spline import LinearSpline
 
 
@@ -130,7 +130,7 @@ def evaluate(net: ScalarInputNetwork, x: RationalLike) -> list[Rational]:
         den *= lcd
     lcd, rows, biases = net.output_layer.integer_form()
     return [
-        make_rational(sum(map(mul, row, signal)) + b * den, lcd * den)
+        Rational(sum(map(mul, row, signal)) + b * den, lcd * den)
         for row, b in zip(rows, biases)
     ]
 
@@ -195,7 +195,7 @@ def _relu(unit: _Unit, grid: list[Rational], roots: list[_Root]) -> _Unit:
 
     if not knots:
         if slope:
-            root(make_rational(-intercept, slope), 0, n, slope)
+            root(Rational(-intercept, slope), 0, n, slope)
         return out_slope, out_intercept, out_knots, out_jumps
     x = grid[knots[0]]
     v = slope * x + intercept  # D times the unit's value at its first knot
@@ -290,9 +290,9 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
     return ExtractionTrace(
         tuple(
             LinearSpline._unchecked(
-                make_rational(slope, den),
-                make_rational(intercept, den),
-                tuple((grid[k], make_rational(d, den)) for k, d in zip(knots, deltas)),
+                Rational(slope, den),
+                Rational(intercept, den),
+                tuple((grid[k], Rational(d, den)) for k, d in zip(knots, deltas)),
             )
             for slope, intercept, knots, deltas in outputs
         ),

@@ -1,45 +1,37 @@
 """Exact rational scalars and their serialized forms.
 
-Every value in this package is an exact rational: reduced, arbitrary
-precision, positive denominator. The backing type is ``gmpy2.mpq`` when
-gmpy2 is importable and ``fractions.Fraction`` otherwise; the two
-interoperate and hash identically, so which one is active is invisible to
-callers. Neither the tests nor the benchmark run the gmpy2 backend, and
-``evaluate``, ``eval_canonical`` and ``extract`` do their arithmetic in
-Python ints. Floats are rejected at the API boundary: knot existence is an
-equality question (is a slope change zero, does a root coincide with a
-breakpoint) and binary rounding would make the answers depend on how the
-inputs happened to be written.
+Every value in this package is an exact rational: a ``fractions.Fraction``,
+reduced, arbitrary precision, positive denominator. ``evaluate``,
+``eval_canonical`` and ``extract`` do their arithmetic in Python ints.
+Floats are rejected at the API boundary: knot existence is an equality
+question (is a slope change zero, does a root coincide with a breakpoint)
+and binary rounding would make the answers depend on how the inputs
+happened to be written.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+import re
 from collections.abc import Iterable
 from fractions import Fraction
 
-# make_rational(num, den) is the one constructor of the backend type: it
-# builds the reduced rational num/den from an int, a Fraction, or an int pair.
-try:
-    from gmpy2 import mpq as make_rational
+Rational = Fraction
 
-    Rational = type(make_rational(0))
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    make_rational = Fraction
-    Rational = Fraction
-
-ZERO = make_rational(0)
+ZERO = Rational(0)
 
 # the context of every decimal_str division: 20 significant digits
 _DECIMAL = decimal.Context(prec=20)
 
+_RATIONAL_TEXT = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
 # accepted by as_rational everywhere a rational is expected
-RationalLike = int | str | Fraction | Rational
+RationalLike = int | str | Rational
 
 
-def as_rational(value: int | str | Fraction | Rational) -> Rational:
-    """Coerce an int, rational, or numeric string to the exact backend type.
+def as_rational(value: RationalLike) -> Rational:
+    """Coerce an int, rational, or numeric string to an exact rational.
 
     Floats raise ``TypeError``: callers must decide how to rationalize them.
     """
@@ -49,8 +41,8 @@ def as_rational(value: int | str | Fraction | Rational) -> Rational:
         raise TypeError(
             f"refusing float {value!r}; pass a rational, int, or 'num/den' string"
         )
-    if isinstance(value, (int, Fraction)):
-        return make_rational(value)
+    if isinstance(value, int):
+        return Rational(value)
     if isinstance(value, str):
         return parse_rational(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
@@ -67,22 +59,26 @@ def scaled_rows(
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse a rational written as ``"num/den"`` or ``"num"``."""
+    """Parse ``"num/den"`` or ``"num"``. No decimals, underscores or exponents:
+    an exponent gets past ``int``'s digit limit and can take hours to expand."""
+    match = _RATIONAL_TEXT.fullmatch(text)
     try:
-        return make_rational(Fraction(text.strip()))
+        if match is None:
+            raise ValueError
+        return Rational(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational {text!r}") from exc
 
 
-def format_rational(value: Rational | Fraction) -> str:
+def format_rational(value: Rational) -> str:
     """Render reduced ``"num/den"``, omitting the denominator when it is 1."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
 
-def decimal_str(value: Rational | Fraction) -> str:
+def decimal_str(value: Rational) -> str:
     """Decimal rendering to 20 significant digits, for plotting; the rational
     string stays authoritative."""
-    num, den = decimal.Decimal(int(value.numerator)), decimal.Decimal(int(value.denominator))
+    num, den = decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)
     return str(_DECIMAL.divide(num, den))

@@ -56,8 +56,8 @@ class LinearSpline:
         initial_intercept: Rational,
         breakpoints: tuple[Breakpoint, ...],
     ) -> LinearSpline:
-        """A spline from rationals of the backend type already in canonical
-        form; ``__post_init__`` and its checks are skipped."""
+        """A spline from rationals already in canonical form;
+        ``__post_init__`` and its checks are skipped."""
         f = object.__new__(cls)
         object.__setattr__(f, "initial_slope", initial_slope)
         object.__setattr__(f, "initial_intercept", initial_intercept)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .bounds import Architecture, Tightness, knot_bound, tightness_eligibility
 from .network import DenseLayer, ScalarInputNetwork, extract
-from .rational import Rational, as_rational, make_rational
+from .rational import Rational, as_rational
 from .spline import LinearSpline
 
 SLOPE_CHANGE_TOLERANCE = 1e-6  # relative threshold of the sampling detector
@@ -63,11 +63,11 @@ def _float_forward(
     output. The pass runs one layer at a time over the whole block, yet every
     value gets the float operations a pass at a single point would make, in
     the same order: the weighted inputs added left to right, then the bias,
-    then relu on hidden units. So the values are bit-identical for any block
-    size and to a pass that evaluates one sample at a time with plain
-    left-to-right addition, which is what the earlier per-sample pass did
-    through ``sum`` on Python < 3.12 (from 3.12 ``sum`` compensates floats,
-    so there the two can differ in the last bits).
+    then relu on hidden units. So, for any block size, the values must be
+    bit-identical to a pass that evaluates one point at a time and adds each
+    weighted sum left to right (not with ``sum``, which compensates floats
+    from Python 3.12). ``reference_outputs`` in ``tests/test_verify.py`` is
+    that pass, and the tests compare the two.
     """
     *hidden, (out_w, out_b) = layers
     signal = [xs]
@@ -96,12 +96,11 @@ def _grid_points(cfg: SamplingConfig, first: int, last: int) -> list[float]:
     (samples - 1). For low = a/b and high = c/d it is one int division,
     (a*d*(samples - 1) + i*(c*b - a*d)) / (b*d*(samples - 1)), which Python
     rounds correctly: the same float as ``float(low + i*h)`` in exact
-    rationals, at a fraction of the cost. The parts are taken as Python ints
-    whatever the rational backend, so the points are always Python floats.
+    rationals, at a fraction of the cost.
     """
     low, high = cfg.interval
-    a, b = int(low.numerator), int(low.denominator)
-    c, d = int(high.numerator), int(high.denominator)
+    a, b = low.numerator, low.denominator
+    c, d = high.numerator, high.denominator
     lengths = cfg.samples - 1
     start = a * d * lengths
     step = c * b - a * d
@@ -128,11 +127,12 @@ def detect_knots_by_sampling(
     blocks of ``BLOCK`` of them, one layer at a time (``_float_forward``),
     with the float operations of a pass at one point in the same order, so
     the values and the detections do not depend on the blocks. Each point is
-    one correctly rounded int division, and each weighted sum is added left
-    to right: the floats of the earlier per-sample pass on Python < 3.12,
-    whose ``sum`` did the same (see ``_float_forward``). Only each
-    output's values over the grid are kept, because its threshold needs its
-    largest magnitude.
+    one correctly rounded int division, and the values must be bit-identical
+    to a pass that handles one point at a time and adds each weighted sum
+    left to right; the per-sample ``reference_outputs`` in
+    ``tests/test_verify.py`` is the check (see ``_float_forward``). Only
+    each output's values over the grid are kept, because its threshold needs
+    its largest magnitude.
     """
     # imported here: the array extension adds about 0.2 MB of resident
     # memory to every process that imports the package, and only this uses it
@@ -282,7 +282,7 @@ def random_network(
     """Network with seeded random rational parameters for the given shape."""
 
     def value() -> Rational:
-        return make_rational(
+        return Rational(
             rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator)
         )
 

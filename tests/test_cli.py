@@ -119,6 +119,19 @@ class TestBuild:
         assert captured.out == ""
         assert captured.err == "error: construction produced 82 knots, expected 83\n"
 
+    def test_knot_limit_exits_2_before_building(self, monkeypatch, capsys):
+        def no_build(arch):
+            raise AssertionError("built a network above the knot limit")
+
+        monkeypatch.setattr(cli, "build_tight_network", no_build)
+        assert main(["build", "46", "46", "46"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: widths [46, 46, 46] ask for 103822 knots, "
+            "above build's limit of 100000\n"
+        )
+
     def test_unit_final_layer_exits_3(self, capsys):
         assert main(["build", "3", "1"]) == 3
         assert "final layer" in capsys.readouterr().err
@@ -374,6 +387,8 @@ class TestVerify:
 
     def test_malformed_interval_exits_2(self, reference_file, capsys):
         assert main(["verify", reference_file, "--interval", "a", "b"]) == 2
+        assert main(["verify", reference_file, "--interval", "1e3", "2000"]) == 2
+        assert capsys.readouterr().err.endswith("error: invalid rational '1e3'\n")
 
     def test_negative_trials_exits_2(self, shallow_file, monkeypatch, capsys):
         def no_oracle(*args):

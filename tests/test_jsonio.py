@@ -42,6 +42,14 @@ class TestRoundTrip:
         net = network_from_dict(doc)
         assert net.hidden_layers[0].weights[1][0] == Q(-2)
 
+    def test_signed_padded_and_unreduced_strings_accepted(self):
+        doc = minimal_doc()
+        doc["hidden_layers"][0]["biases"] = ["+1", " 2/4 "]
+        doc["output_layer"]["biases"] = ["-007/14"]
+        net = network_from_dict(doc)
+        assert net.hidden_layers[0].biases == (Q(1), Q(1, 2))
+        assert net.output_layer.biases == (Q(-1, 2),)
+
 
 class TestSchemaErrors:
     def test_float_rejected_with_path(self):
@@ -51,10 +59,12 @@ class TestSchemaErrors:
             network_from_dict(doc)
 
     def test_bad_rational_string(self):
-        doc = minimal_doc()
-        doc["output_layer"]["biases"][0] = "one"
-        with pytest.raises(SchemaError, match=r"output_layer.biases\[0\]"):
-            network_from_dict(doc)
+        # only what format_rational writes: no decimals, underscores or exponents
+        for text in ("one", "1e3", "0.5", "1_000"):
+            doc = minimal_doc()
+            doc["output_layer"]["biases"][0] = text
+            with pytest.raises(SchemaError, match=r"output_layer.biases\[0\]"):
+                network_from_dict(doc)
 
     def test_zero_denominator(self):
         doc = minimal_doc()

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
 import random
-from decimal import Decimal
 from fractions import Fraction as Q
-from types import SimpleNamespace
 
 import pytest
 
@@ -181,33 +179,6 @@ class TestBlockPass:
             grid = [float(low + i * h) for i in range(samples)]
             assert _grid_points(cfg, 0, samples) == grid
             assert _grid_points(cfg, 1, samples - 1) == grid[1:-1]
-
-    def test_grid_points_are_python_floats_for_any_backend(self):
-        # gmpy2's mpq has mpz parts, and an int divided by an mpz is an mpfr;
-        # _Mpz stands in for it, so the grid must take plain ints first
-        class _Mpz(int):
-            def __mul__(self, other):
-                return _Mpz(int(self) * int(other))
-
-            __rmul__ = __mul__
-
-            def __rtruediv__(self, other):
-                return Decimal(other) / Decimal(int(self))
-
-        cfg = SamplingConfig(ODD_INTERVALS[0], samples=7)
-        low, high = cfg.interval
-        grid = _grid_points(cfg, 0, 7)
-        object.__setattr__(
-            cfg,
-            "interval",
-            tuple(
-                SimpleNamespace(numerator=_Mpz(q.numerator), denominator=_Mpz(q.denominator))
-                for q in (low, high)
-            ),
-        )
-        points = _grid_points(cfg, 0, 7)
-        assert all(type(x) is float for x in points)
-        assert points == grid
 
 
 class TestOracleReport:
