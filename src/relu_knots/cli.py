@@ -21,6 +21,7 @@ import csv
 import json
 import os
 import random
+import re
 import sys
 from collections.abc import Iterable
 from itertools import chain
@@ -343,6 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(handler=cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="sampling oracle against exact extraction")
+    # argparse takes only "-1" and "-.5" for negative numbers, "-1/2" for an option
+    p_verify._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p_verify.add_argument("network", help="network JSON file")
     p_verify.add_argument("--samples", type=int, default=100_001)
     p_verify.add_argument(

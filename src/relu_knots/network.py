@@ -10,6 +10,12 @@ Every knot of layer i is a knot of layer i-1 that was kept, or a new ReLU
 root. So ``extract`` keeps one sorted grid per layer, the union U_i of its
 units' knots, and a unit is its knots as indices into that grid with
 integer slopes over one denominator per layer, D_i = L_1 ... L_i.
+
+ReLU asks one question at every knot of a unit: the sign of its value
+there. At a grid point p/q (reduced, q > 0) a layer-i value v gives an
+integer N = v*D_i*q, the numerator ``evaluate`` reaches at p/q over
+q*D_i. So ``_relu`` walks each unit's knots in ints, with an exact floor
+division per knot, and builds a rational only for a new root.
 """
 
 from __future__ import annotations
@@ -171,54 +177,56 @@ def _combine(row: tuple[int, ...], units: list[_Unit], bias: int) -> _Unit:
     return slope, intercept, knots, [jumps[k] for k in knots]
 
 
-def _relu(unit: _Unit, grid: list[Rational], roots: list[_Root]) -> _Unit:
-    """``max(0, unit)``. A knot keeps its grid index. A root where the unit
-    strictly changes sign is appended to ``roots`` and keyed by
-    len(grid) + its position there, until ``_regrid`` places it.
+def _relu(unit: _Unit, nums: list[int], dens: list[int], roots: list[_Root]) -> _Unit:
+    """``max(0, unit)`` on the grid of points nums[k]/dens[k]. A knot keeps
+    its grid index. A root where the unit strictly changes sign is appended
+    to ``roots`` and keyed by len(nums) + its position there, until
+    ``_regrid`` places it.
 
     At a knot with value v, the one-sided slopes of the output are those of
     the unit where it is positive on that side, else 0, and the knot stays
     when they differ. A root always stays, with jump |slope|.
+
+    The walk runs in ints. On each piece the unit is S*x + c with S and c
+    ints: the input is 1*x + 0, and an integer combination of such pieces,
+    or relu of one (the piece or 0), is one. So at a grid point p/q
+    (reduced, q > 0) the value is N/q with N = S*p + c*q, the numerator
+    ``evaluate`` reaches at p/q over q*D_i, and its sign is N's. Past a knot
+    with jump d the intercept is c - d*p/q, an int again; as p and q are
+    coprime, q divides d and the // is exact. A root is -c/S, the only
+    rational the walk builds.
     """
     slope, intercept, knots, deltas = unit
-    n = len(grid)
+    n = len(nums)
     # left of everything the output is the unit where it is positive, else 0
     out_slope = slope if slope < 0 else 0
     out_intercept = intercept if slope < 0 else max(0, intercept) if slope == 0 else 0
     out_knots: list[int] = []
     out_jumps: list[int] = []
 
-    def root(x: Rational, lo: int, hi: int, s: int) -> None:
+    def root(lo: int, hi: int) -> None:  # -c/slope, on the current piece
         out_knots.append(n + len(roots))
-        out_jumps.append(abs(s))
-        roots.append((x, lo, hi))
+        out_jumps.append(abs(slope))
+        roots.append((Rational(-c, slope), lo, hi))
 
-    if not knots:
-        if slope:
-            root(Rational(-intercept, slope), 0, n, slope)
-        return out_slope, out_intercept, out_knots, out_jumps
-    x = grid[knots[0]]
-    v = slope * x + intercept  # D times the unit's value at its first knot
-    sign = (v.numerator > 0) - (v.numerator < 0)  # denominators are positive
-    if slope and sign == (1 if slope > 0 else -1):
-        root(x - v / slope, 0, knots[0], slope)
-    prev_k, prev_x, prev_v, prev_sign = -1, x, v, sign
+    # the sign at -inf (0 where the unit is flat there): a change of sign at
+    # the first knot is the root on the left ray
+    prev_k, c, prev_sign = -1, intercept, (slope < 0) - (slope > 0)
     for k, d in zip(knots, deltas):
-        if prev_k >= 0:
-            x = grid[k]
-            v = prev_v + slope * (x - prev_x)
-            sign = (v.numerator > 0) - (v.numerator < 0)
-            if sign * prev_sign < 0:
-                root(prev_x - prev_v / slope, prev_k + 1, k, slope)
+        p, q = nums[k], dens[k]
+        v = slope * p + c * q
+        sign = (v > 0) - (v < 0)
+        if sign * prev_sign < 0:
+            root(prev_k + 1, k)
         right = slope + d
         out_left = slope if sign > 0 or (sign == 0 and slope < 0) else 0
         out_right = right if sign > 0 or (sign == 0 and right > 0) else 0
         if out_left != out_right:
             out_knots.append(k)
             out_jumps.append(out_right - out_left)
-        prev_k, prev_x, prev_v, prev_sign, slope = k, x, v, sign, right
-    if slope and sign == (-1 if slope > 0 else 1):
-        root(x - v / slope, prev_k + 1, n, slope)
+        prev_k, c, prev_sign, slope = k, c - d // q * p, sign, right
+    if prev_sign * slope < 0:  # the root on the right ray
+        root(prev_k + 1, n)
     return out_slope, out_intercept, out_knots, out_jumps
 
 
@@ -277,10 +285,14 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
     unions = []
     for layer in net.hidden_layers:
         lcd, rows, biases = layer.integer_form()
+        nums = [x.numerator for x in grid]
+        dens = [x.denominator for x in grid]
         roots: list[_Root] = []
         units = [
-            _relu(_combine(row, units, b * den), grid, roots) for row, b in zip(rows, biases)
+            _relu(_combine(row, units, b * den), nums, dens, roots)
+            for row, b in zip(rows, biases)
         ]
+        del nums, dens  # not kept alive while the output splines are built
         den *= lcd
         grid, units = _regrid(grid, roots, units)
         unions.append(tuple(grid))

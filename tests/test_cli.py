@@ -385,6 +385,11 @@ class TestVerify:
         assert payload["exact"] == payload["detected"] == 11
         assert payload["exact_outside_interval"] == 72
 
+    def test_negative_fraction_as_low_end(self, reference_file, capsys):
+        args = ["verify", reference_file, "--interval", "-1/2", "3", "--samples", "5001"]
+        assert main(args + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["interval"] == ["-1/2", "3"]
+
     def test_malformed_interval_exits_2(self, reference_file, capsys):
         assert main(["verify", reference_file, "--interval", "a", "b"]) == 2
         assert main(["verify", reference_file, "--interval", "1e3", "2000"]) == 2

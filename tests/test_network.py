@@ -29,7 +29,7 @@ from relu_knots import (
     save_network,
 )
 from relu_knots.cli import main
-from relu_knots.construct import example_tight_network
+from relu_knots.construct import build_tight_network, example_tight_network
 from relu_knots.verify import random_network
 
 
@@ -191,6 +191,38 @@ class TestExtract:
             trace = extract(net)
             last_union = set(trace.per_layer_knot_union[-1])
             assert set(trace.output_knot_union()) <= last_union
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_tight_network(Architecture((6, 6, 6, 6))),
+            lambda: random_network(random.Random(8), Architecture((8, 8, 8, 8), output_dim=2)),
+        ],
+        ids=["tight-6x4", "random-8x4"],
+    )
+    def test_walks_knots_without_rational_arithmetic(self, make, monkeypatch):
+        # The knot walk runs in ints: rationals are built, compared and
+        # read, never added, multiplied or divided.
+        net = make()
+        calls = []
+
+        def counted(name):
+            original = getattr(Q, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        with monkeypatch.context() as m:
+            for name in (
+                "__add__", "__radd__", "__sub__", "__rsub__",
+                "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+            ):
+                m.setattr(Q, name, counted(name))
+            extract(net)
+        assert calls == []
 
 
 class TestKnotReport:
@@ -367,6 +399,17 @@ class TestExtractAgainstReference:
         assert knot in trace.per_layer_knot_union[1]
         assert same_as_reference(net, trace)
         assert_exact_between_knots(net, trace)
+
+    def test_coprime_knot_denominators_and_negative_values(self):
+        # Knot denominators up to 97 and hundreds of distinct ones: the
+        # integer walk floor-divides each slope jump by its knot's
+        # denominator, which is exact only if every piece of every unit has
+        # an integer intercept. The autouse fixture checks the reference.
+        rng = random.Random(97)
+        for _ in range(30):
+            widths = tuple(rng.randint(2, 8) for _ in range(rng.randint(4, 6)))
+            net = random_network(rng, Architecture(widths, output_dim=2), max_denominator=97)
+            assert_exact_between_knots(net, extract(net))
 
     @given(f=splines())
     def test_shallow_round_trip(self, f):
