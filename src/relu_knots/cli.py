@@ -7,11 +7,13 @@ extraction, optional random stress search), ``canonicalize`` (forward-facing
 form of a one-hidden-layer network).
 
 Exit codes: 0 success, 1 internal failure (a construction or stress
-search that broke its own guarantee), 2 input error (a ``build`` of more
-than 100,000 knots and an input too large for memory included: one ``error:
-out of memory`` line, no traceback), 3 unattainable architecture, 4 oracle
-mismatch, 5 wrong depth. The RELU_KNOTS_SEED environment variable sets the
-default seed; an explicit --seed wins.
+search that broke its own guarantee), 2 input error (included: a ``build``
+of more than 100,000 knots; an ``analyze`` or ``verify`` of a network with
+a hidden layer of more than 100,000 knots, refused during extraction; and
+an input too large for memory, with one ``error: out of memory`` line and
+no traceback), 3 unattainable architecture, 4 oracle mismatch, 5 wrong
+depth. The RELU_KNOTS_SEED environment variable sets the default seed; an
+explicit --seed wins.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import re
 import sys
 from collections.abc import Iterable
-from itertools import chain
 from pathlib import Path
 
 from .bounds import (
@@ -38,8 +40,8 @@ from .bounds import (
 from .canonical import eval_canonical, to_forward_facing
 from .construct import build_tight_network
 from .jsonio import SchemaError, load_network, network_to_dict, save_network
-from .network import ScalarInputNetwork, evaluate, extract
-from .rational import Rational, decimal_str, format_rational, parse_rational
+from .network import KNOT_LIMIT, ScalarInputNetwork, evaluate, extract
+from .rational import Rational, decimal_str, format_ratio, format_rational, parse_rational
 from .spline import LinearSpline
 from .verify import AgreementReport, SamplingConfig, oracle_agreement, stress_bound
 
@@ -49,8 +51,6 @@ EXIT_INPUT = 2
 EXIT_INELIGIBLE = 3
 EXIT_MISMATCH = 4
 EXIT_DEPTH = 5
-
-BUILD_KNOT_LIMIT = 100_000  # (45, 45, 45): 97,335 knots, 3.5 s and 90 MB on one x86 core
 
 
 CSV_COLUMNS = [
@@ -70,37 +70,60 @@ def write_spline_csv(splines: Iterable[LinearSpline], path: str | Path) -> None:
     Ray rows carry the ray's slope in both slope columns and the ray line's
     value at x = 0 in the value columns, so the CSV alone reconstructs the
     function everywhere.
+
+    Each spline is walked in ints: every piece is (S*x + c)/D with int S
+    and c (see ``_common_denominator``). At a knot p/q (reduced, q > 0) the
+    value is (S*p + c*q)/(q*D), and past it, with jump d/D, the intercept
+    is c - d*p/q, an exact division.
     """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for k, f in enumerate(splines):
-            slopes = f.piece_slopes()
-            values = f.knot_values()
-            if values:
-                final_intercept = values[-1] - slopes[-1] * f.breakpoints[-1][0]
-            else:
-                final_intercept = f.initial_intercept
-            rows = chain(
-                [("-inf", "-inf", f.initial_intercept, slopes[0], slopes[0])],
-                (
-                    (format_rational(x), decimal_str(x), value, left, right)
-                    for x, value, left, right in zip(f.knots(), values, slopes, slopes[1:])
-                ),
-                [("+inf", "inf", final_intercept, slopes[-1], slopes[-1])],
+            den = _common_denominator(f)
+            slope = f.initial_slope.numerator * (den // f.initial_slope.denominator)
+            c = f.initial_intercept.numerator * (den // f.initial_intercept.denominator)
+            right = format_ratio(slope, den)
+            writer.writerow(
+                [k, "-inf", "-inf", format_ratio(c, den), decimal_str(c, den), right, right]
             )
-            for x_rational, x_decimal, value, left, right in rows:
+            for x, delta in f.breakpoints:
+                p, q = x.numerator, x.denominator
+                d = delta.numerator * (den // delta.denominator)
+                value, value_den = slope * p + c * q, q * den
+                left, slope, c = right, slope + d, c - d * p // q
+                right = format_ratio(slope, den)
                 writer.writerow(
                     [
                         k,
-                        x_rational,
-                        x_decimal,
-                        format_rational(value),
-                        decimal_str(value),
-                        format_rational(left),
-                        format_rational(right),
+                        format_ratio(p, q),
+                        decimal_str(p, q),
+                        format_ratio(value, value_den),
+                        decimal_str(value, value_den),
+                        left,
+                        right,
                     ]
                 )
+            writer.writerow(
+                [k, "+inf", "inf", format_ratio(c, den), decimal_str(c, den), right, right]
+            )
+
+
+def _common_denominator(f: LinearSpline) -> int:
+    """A D over which every piece of f has an int slope and intercept.
+
+    The slopes are the initial slope plus jumps, and the intercepts the
+    initial intercept less jump*x products, so D makes each jump a/b and
+    each product a/b * p/q an int. The jumps alone are not enough: x/2 with
+    a jump of -1/2 at 1/2 has the intercept 1/4 right of the knot. With
+    both fractions reduced, D*a/b is an int and q divides D*a/b * p exactly
+    when b * q/gcd(a, q) divides D.
+    """
+    den = math.lcm(f.initial_slope.denominator, f.initial_intercept.denominator)
+    for x, delta in f.breakpoints:
+        q = x.denominator
+        den = math.lcm(den, delta.denominator * (q // math.gcd(delta.numerator, q)))
+    return den
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -162,10 +185,10 @@ def cmd_build(args: argparse.Namespace) -> int:
             EXIT_INELIGIBLE,
         )
     bound = knot_bound(arch)
-    if bound > BUILD_KNOT_LIMIT:
+    if bound > KNOT_LIMIT:
         raise ValueError(
             f"widths {list(arch.widths)} ask for {bound} knots, "
-            f"above build's limit of {BUILD_KNOT_LIMIT}"
+            f"above build's limit of {KNOT_LIMIT}"
         )
     net = build_tight_network(arch)  # raises unless the outputs reach the bound
     if args.out:

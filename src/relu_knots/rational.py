@@ -2,7 +2,9 @@
 
 Every value in this package is an exact rational: a ``fractions.Fraction``,
 reduced, arbitrary precision, positive denominator. ``evaluate``,
-``eval_canonical`` and ``extract`` do their arithmetic in Python ints.
+``eval_canonical``, ``extract`` and the CLI's spline CSV writer do their
+arithmetic in Python ints, and ``format_ratio`` and ``decimal_str`` render
+an int pair without building a rational.
 Floats are rejected at the API boundary: knot existence is an equality
 question (is a slope change zero, does a root coincide with a breakpoint)
 and binary rounding would make the answers depend on how the inputs
@@ -72,13 +74,19 @@ def parse_rational(text: str) -> Rational:
 
 def format_rational(value: Rational) -> str:
     """Render reduced ``"num/den"``, omitting the denominator when it is 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_ratio(value.numerator, value.denominator)
 
 
-def decimal_str(value: Rational) -> str:
-    """Decimal rendering to 20 significant digits, for plotting; the rational
-    string stays authoritative."""
-    num, den = decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)
-    return str(_DECIMAL.divide(num, den))
+def format_ratio(num: int, den: int) -> str:
+    """``format_rational`` of num/den (den > 0), reduced with one gcd."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def decimal_str(num: int, den: int) -> str:
+    """num/den (den > 0) in decimal to 20 significant digits, for plotting;
+    the rational string stays authoritative. The digits do not depend on
+    whether the pair is reduced."""
+    return str(_DECIMAL.divide(decimal.Decimal(num), decimal.Decimal(den)))

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import csv
+import decimal
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from relu_knots import LinearSpline, affine_combine, relu
+from relu_knots.cli import CSV_COLUMNS
 from relu_knots.network import extract as real_extract
 
 rationals = st.fractions(
@@ -50,6 +54,79 @@ def reference_unit_splines(net) -> list[list[LinearSpline]]:
         ]
         layers.append(units)
     return layers
+
+
+ARITHMETIC_DUNDERS = (
+    "__add__", "__radd__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+    "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+    "__pow__", "__rpow__", "__neg__", "__abs__",
+)
+
+
+@contextlib.contextmanager
+def rational_arithmetic_calls(monkeypatch):
+    """Record, in the list it yields, the name of every ``Fraction``
+    arithmetic method called inside the block. Rationals may be built,
+    compared and read there; adding, multiplying or dividing one shows."""
+    calls = []
+
+    def counted(name):
+        original = getattr(Fraction, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in ARITHMETIC_DUNDERS:
+            m.setattr(Fraction, name, counted(name))
+        yield calls
+
+
+def reference_spline_csv(splines, path) -> None:
+    """The spline CSV computed in ``Fraction``s, the slow path that
+    ``cli.write_spline_csv`` must match byte for byte: the knots' values
+    and the pieces' slopes from ``knot_values`` and ``piece_slopes``, each
+    cell rendered from the reduced rational."""
+    context = decimal.Context(prec=20)
+
+    def exact(q: Fraction) -> str:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    def approx(q: Fraction) -> str:
+        return str(context.divide(decimal.Decimal(q.numerator), decimal.Decimal(q.denominator)))
+
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CSV_COLUMNS)
+        for k, f in enumerate(splines):
+            slopes = f.piece_slopes()
+            values = f.knot_values()
+            if values:
+                final_intercept = values[-1] - slopes[-1] * f.breakpoints[-1][0]
+            else:
+                final_intercept = f.initial_intercept
+            rows = [("-inf", "-inf", f.initial_intercept, slopes[0], slopes[0])]
+            rows += [
+                (exact(x), approx(x), value, left, right)
+                for x, value, left, right in zip(f.knots(), values, slopes, slopes[1:])
+            ]
+            rows.append(("+inf", "inf", final_intercept, slopes[-1], slopes[-1]))
+            for x_rational, x_decimal, value, left, right in rows:
+                writer.writerow(
+                    [
+                        k,
+                        x_rational,
+                        x_decimal,
+                        exact(value),
+                        approx(value),
+                        exact(left),
+                        exact(right),
+                    ]
+                )
 
 
 def knot_union(splines) -> tuple:

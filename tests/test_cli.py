@@ -5,12 +5,22 @@ import json
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import seeded_points
-from relu_knots import evaluate, load_network, parse_rational, save_network
-from relu_knots import cli
+from conftest import rational_arithmetic_calls, reference_spline_csv, seeded_points, splines
+from relu_knots import (
+    Architecture,
+    LinearSpline,
+    evaluate,
+    extract,
+    load_network,
+    parse_rational,
+    save_network,
+)
+from relu_knots import cli, network
 from relu_knots.cli import main
-from relu_knots.construct import example_tight_network
+from relu_knots.construct import build_tight_network, example_tight_network
 
 
 @pytest.fixture
@@ -296,6 +306,58 @@ class TestAnalyzeCsv:
         assert captured.out == ""
         assert captured.err == "error: out of memory: the input is too large\n"
 
+    def test_layer_above_knot_limit_exits_2(self, reference_file, monkeypatch, capsys):
+        # the reference network's unions are 6, 27 and 83 knots
+        monkeypatch.setattr(network, "KNOT_LIMIT", 50)
+        assert main(["analyze", reference_file, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: hidden layer 3 has 83 knots, above the limit of 50\n"
+        monkeypatch.setattr(network, "KNOT_LIMIT", 83)
+        assert main(["analyze", reference_file, "--json"]) == 0
+
+
+HALF_THEN_FLAT = LinearSpline(Q(1, 2), Q(0), ((Q(1, 2), Q(-1, 2)),))  # 1/4 right of 1/2
+NO_KNOTS = LinearSpline(Q(-3, 7), Q(5, 2))
+THREE_KNOTS = LinearSpline(
+    Q(2, 3), Q(-1, 5), ((Q(-7, 4), Q(1, 6)), (Q(1, 3), Q(-5, 9)), (Q(11, 2), Q(3, 4)))
+)
+
+
+class TestSplineCsv:
+    """``write_spline_csv`` walks in ints; the ``Fraction`` writer kept in
+    ``conftest`` says what it must write."""
+
+    @staticmethod
+    def same_as_reference(fs, tmp_path) -> bool:
+        cli.write_spline_csv(fs, tmp_path / "ints.csv")
+        reference_spline_csv(fs, tmp_path / "fractions.csv")
+        return (tmp_path / "ints.csv").read_bytes() == (tmp_path / "fractions.csv").read_bytes()
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fs=st.lists(splines(), max_size=3))
+    def test_matches_fraction_reference(self, fs, tmp_path):
+        assert self.same_as_reference(fs, tmp_path)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [HALF_THEN_FLAT],
+            lambda: [NO_KNOTS],
+            lambda: [HALF_THEN_FLAT, NO_KNOTS, THREE_KNOTS],
+            lambda: extract(example_tight_network()).output_splines,
+        ],
+        ids=["intercept-beyond-jump-denominators", "no-knots", "p=3", "reference-network"],
+    )
+    def test_named_cases(self, make, tmp_path):
+        assert self.same_as_reference(make(), tmp_path)
+
+    def test_writes_without_rational_arithmetic(self, tmp_path, monkeypatch):
+        outputs = extract(build_tight_network(Architecture((6, 6, 6, 6), output_dim=2)))
+        with rational_arithmetic_calls(monkeypatch) as calls:
+            cli.write_spline_csv(outputs.output_splines, tmp_path / "splines.csv")
+        assert calls == []
+
 
 class TestVerify:
     def test_agreement_on_built_network(self, tmp_path, capsys):
@@ -402,6 +464,13 @@ class TestVerify:
         monkeypatch.setattr(cli, "oracle_agreement", no_oracle)
         assert main(["verify", shallow_file, "--samples", "1001", "--trials", "-3"]) == 2
         assert capsys.readouterr().err == "error: trials must be non-negative, got -3\n"
+
+    def test_layer_above_knot_limit_exits_2(self, reference_file, monkeypatch, capsys):
+        monkeypatch.setattr(network, "KNOT_LIMIT", 50)
+        assert main(["verify", reference_file, "--samples", "1001", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: hidden layer 3 has 83 knots, above the limit of 50\n"
 
     def test_failed_stress_search_exits_1(self, shallow_file, monkeypatch, capsys):
         def broken(*args):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     nonzero_rationals,
+    rational_arithmetic_calls,
     rationals,
     reference_extract,
     same_as_reference,
@@ -204,23 +205,7 @@ class TestExtract:
         # The knot walk runs in ints: rationals are built, compared and
         # read, never added, multiplied or divided.
         net = make()
-        calls = []
-
-        def counted(name):
-            original = getattr(Q, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return original(*args)
-
-            return wrapper
-
-        with monkeypatch.context() as m:
-            for name in (
-                "__add__", "__radd__", "__sub__", "__rsub__",
-                "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
-            ):
-                m.setattr(Q, name, counted(name))
+        with rational_arithmetic_calls(monkeypatch) as calls:
             extract(net)
         assert calls == []
 
