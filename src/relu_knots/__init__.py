@@ -28,7 +28,7 @@ from .network import (
     extract,
 )
 from .rational import Rational, as_rational, format_rational, parse_rational
-from .spline import LinearSpline, affine_combine, relu
+from .spline import LinearSpline
 from .verify import (
     AgreementReport,
     SamplingConfig,
@@ -58,7 +58,6 @@ __all__ = [
     "SchemaError",
     "StressReport",
     "Tightness",
-    "affine_combine",
     "approx_bound",
     "as_rational",
     "bound_prefixes",
@@ -82,7 +81,6 @@ __all__ = [
     "parse_rational",
     "random_network",
     "recurrence_step",
-    "relu",
     "save_network",
     "stress_bound",
     "tightness_eligibility",

@@ -9,7 +9,8 @@ neuron of a layer can keep every incoming knot and can add at most one new
 knot per affine piece, of which there are m + 1. In terms of pieces the
 fold is (m + 1) -> (n + 1) * (m + 1), so the bound is the product of the
 (n_i + 1), the number of linear regions of a scalar-input network in
-Serban et al. 2018 (arXiv:1711.02114), less the one region that has no knot.
+Serra, Tjandraatmadja & Ramalingam 2018 (arXiv:1711.02114), less the one
+region that has no knot.
 """
 
 from __future__ import annotations

@@ -21,12 +21,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import random
 import re
 import sys
-from collections.abc import Iterable
 from pathlib import Path
 
 from .bounds import (
@@ -40,9 +38,8 @@ from .bounds import (
 from .canonical import eval_canonical, to_forward_facing
 from .construct import build_tight_network
 from .jsonio import SchemaError, load_network, network_to_dict, save_network
-from .network import KNOT_LIMIT, ScalarInputNetwork, evaluate, extract
+from .network import KNOT_LIMIT, ExtractionTrace, ScalarInputNetwork, evaluate, extract
 from .rational import Rational, decimal_str, format_ratio, format_rational, parse_rational
-from .spline import LinearSpline
 from .verify import AgreementReport, SamplingConfig, oracle_agreement, stress_bound
 
 EXIT_OK = 0
@@ -64,32 +61,29 @@ CSV_COLUMNS = [
 ]
 
 
-def write_spline_csv(splines: Iterable[LinearSpline], path: str | Path) -> None:
+def write_spline_csv(trace: ExtractionTrace, path: str | Path) -> None:
     """CSV with one row per knot and two ray rows (x = -inf / +inf) per output.
 
     Ray rows carry the ray's slope in both slope columns and the ray line's
     value at x = 0 in the value columns, so the CSV alone reconstructs the
     function everywhere.
 
-    Each spline is walked in ints: every piece is (S*x + c)/D with int S
-    and c (see ``_common_denominator``). At a knot p/q (reduced, q > 0) the
-    value is (S*p + c*q)/(q*D), and past it, with jump d/D, the intercept
-    is c - d*p/q, an exact division.
+    The trace's outputs are walked in their ints: every piece is (S*x + c)/D
+    with int S and c over the trace's denominator D. At a knot p/q (reduced,
+    q > 0) the value is (S*p + c*q)/(q*D), and past it, with jump d/D, the
+    intercept is c - d*p/q, an exact division.
     """
+    grid, den = trace.per_layer_knot_union[-1], trace.denominator
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for k, f in enumerate(splines):
-            den = _common_denominator(f)
-            slope = f.initial_slope.numerator * (den // f.initial_slope.denominator)
-            c = f.initial_intercept.numerator * (den // f.initial_intercept.denominator)
+        for k, (slope, c, knots, jumps) in enumerate(trace.outputs):
             right = format_ratio(slope, den)
             writer.writerow(
                 [k, "-inf", "-inf", format_ratio(c, den), decimal_str(c, den), right, right]
             )
-            for x, delta in f.breakpoints:
-                p, q = x.numerator, x.denominator
-                d = delta.numerator * (den // delta.denominator)
+            for i, d in zip(knots, jumps):
+                p, q = grid[i].numerator, grid[i].denominator
                 value, value_den = slope * p + c * q, q * den
                 left, slope, c = right, slope + d, c - d * p // q
                 right = format_ratio(slope, den)
@@ -107,23 +101,6 @@ def write_spline_csv(splines: Iterable[LinearSpline], path: str | Path) -> None:
             writer.writerow(
                 [k, "+inf", "inf", format_ratio(c, den), decimal_str(c, den), right, right]
             )
-
-
-def _common_denominator(f: LinearSpline) -> int:
-    """A D over which every piece of f has an int slope and intercept.
-
-    The slopes are the initial slope plus jumps, and the intercepts the
-    initial intercept less jump*x products, so D makes each jump a/b and
-    each product a/b * p/q an int. The jumps alone are not enough: x/2 with
-    a jump of -1/2 at 1/2 has the intercept 1/4 right of the knot. With
-    both fractions reduced, D*a/b is an int and q divides D*a/b * p exactly
-    when b * q/gcd(a, q) divides D.
-    """
-    den = math.lcm(f.initial_slope.denominator, f.initial_intercept.denominator)
-    for x, delta in f.breakpoints:
-        q = x.denominator
-        den = math.lcm(den, delta.denominator * (q // math.gcd(delta.numerator, q)))
-    return den
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -206,7 +183,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     trace = extract(net)
     per_layer_knots, output_knots = trace.per_layer_knot_union, trace.output_knot_union()
     if args.csv:
-        write_spline_csv(trace.output_splines, args.csv)
+        write_spline_csv(trace, args.csv)
     arch = net.architecture
     bound = knot_bound(arch)
     payload = {

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from .bounds import Architecture, knot_bound, recurrence_step, tightness_eligibility
 from .network import DenseLayer, ScalarInputNetwork, extract
 from .rational import Rational, RationalLike, as_rational
-from .spline import LinearSpline, affine_combine
 
 # Output-layer magnification of the last sawtooth; any positive value works,
 # this one matches the bundled reference network.
@@ -54,10 +53,6 @@ class SawtoothWitness:
     def span(self) -> Rational:
         low, high = self.oscillation_range
         return high - low
-
-    def combination(self, units: tuple[LinearSpline, ...]) -> LinearSpline:
-        """The certified sawtooth, as an exact spline over the unit splines."""
-        return affine_combine(zip(self.combination_weights, units))
 
 
 def _alternating_weights(n: int) -> list[RationalLike]:
@@ -190,10 +185,10 @@ def build_tight_network(arch: Architecture) -> ScalarInputNetwork:
     expected = knot_bound(arch)
     trace = extract(net)
     final_union = trace.per_layer_knot_union[-1]
-    for k, out in enumerate(trace.output_splines):
-        if tuple(out.knots()) != final_union:
+    for k, (_, _, knots, _) in enumerate(trace.outputs):
+        if len(knots) != len(final_union):  # distinct indices into final_union
             raise RuntimeError(
-                f"output {k} cancelled a knot: {len(out.knots())} of {len(final_union)} kept"
+                f"output {k} cancelled a knot: {len(knots)} of {len(final_union)} kept"
             )
     if len(final_union) != expected:
         raise RuntimeError(

@@ -146,23 +146,46 @@ def evaluate(net: ScalarInputNetwork, x: RationalLike) -> list[Rational]:
     ]
 
 
+# One spline on a layer's grid, times the layer's denominator D: its initial
+# slope and intercept (ints), its knots (ascending grid indices) and the
+# slope jumps at them (ints).
+_Unit = tuple[int, int, list[int], list[int]]
+
+
 @dataclass(frozen=True, slots=True)
 class ExtractionTrace:
-    """The output splines, the knot union U_i of every hidden layer, and the
-    union of the outputs' knots."""
+    """The outputs, the knot union U_i of every hidden layer, and the union
+    of the outputs' knots.
 
-    output_splines: tuple[LinearSpline, ...]
+    Each output is ``(slope, intercept, knots, jumps)`` in ints: the initial
+    slope, the initial intercept and the slope jump at each knot, all over
+    ``denominator``, and the knots as ascending indices into
+    ``per_layer_knot_union[-1]``. Every jump is nonzero. On each piece the
+    output is (S*x + c)/denominator with int S and c (see ``_relu``).
+    """
+
+    outputs: tuple[_Unit, ...]
+    denominator: int
     per_layer_knot_union: tuple[tuple[Rational, ...], ...]
     output_knots: tuple[Rational, ...]
+
+    @property
+    def output_splines(self) -> tuple[LinearSpline, ...]:
+        """The outputs as ``LinearSpline``s, built on each read."""
+        grid, den = self.per_layer_knot_union[-1], self.denominator
+        return tuple(
+            LinearSpline(
+                Rational(slope, den),
+                Rational(intercept, den),
+                tuple((grid[k], Rational(d, den)) for k, d in zip(knots, jumps)),
+            )
+            for slope, intercept, knots, jumps in self.outputs
+        )
 
     def output_knot_union(self) -> list[Rational]:
         return list(self.output_knots)
 
 
-# One spline on a layer's grid, times the layer's denominator D: its initial
-# slope and intercept (ints), its knots (ascending grid indices) and the
-# slope jumps at them (ints).
-_Unit = tuple[int, int, list[int], list[int]]
 # A new ReLU root: its location, and the grid range [lo, hi) of the points
 # strictly between the neighbouring knots of its unit.
 _Root = tuple[Rational, int, int]
@@ -275,8 +298,8 @@ def _regrid(
 
 
 def extract(net: ScalarInputNetwork) -> ExtractionTrace:
-    """Compute the exact spline of every output, and each hidden layer's
-    knot union.
+    """Compute every output exactly, in ints on the final grid, and each
+    hidden layer's knot union.
 
     The input is the line x on an empty grid. Each hidden layer combines the
     units below in integers, applies relu, and moves to a new grid; outputs
@@ -298,7 +321,7 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
             _relu(_combine(row, units, b * den), nums, dens, roots)
             for row, b in zip(rows, biases)
         ]
-        del nums, dens  # not kept alive while the output splines are built
+        del nums, dens  # not kept alive while the next grid is built
         den *= lcd
         grid, units = _regrid(grid, roots, units)
         if len(grid) > KNOT_LIMIT:
@@ -307,17 +330,10 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
             )
         unions.append(tuple(grid))
     lcd, rows, biases = net.output_layer.integer_form()
-    outputs = [_combine(row, units, b * den) for row, b in zip(rows, biases)]
-    den *= lcd
+    outputs = tuple(_combine(row, units, b * den) for row, b in zip(rows, biases))
     return ExtractionTrace(
-        tuple(
-            LinearSpline._unchecked(
-                Rational(slope, den),
-                Rational(intercept, den),
-                tuple((grid[k], Rational(d, den)) for k, d in zip(knots, deltas)),
-            )
-            for slope, intercept, knots, deltas in outputs
-        ),
+        outputs,
+        den * lcd,
         tuple(unions),
         tuple(grid[k] for k in sorted({k for _, _, knots, _ in outputs for k in knots})),
     )

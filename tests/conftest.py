@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from relu_knots import LinearSpline, affine_combine, relu
+from relu_knots import DenseLayer, LinearSpline, ScalarInputNetwork
 from relu_knots.cli import CSV_COLUMNS
 from relu_knots.network import extract as real_extract
 
@@ -18,6 +18,8 @@ rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
 )
 nonzero_rationals = rationals.filter(lambda q: q != 0)
+# zero weights and biases drawn often, next to small rationals
+coefficients = st.one_of(st.just(Fraction(0)), rationals)
 
 
 @st.composite
@@ -33,6 +35,27 @@ def splines(draw, max_breakpoints: int = 6) -> LinearSpline:
     return LinearSpline(slope, intercept, tuple(sorted(zip(xs, deltas))))
 
 
+@st.composite
+def network_layers(draw, min_depth: int = 1, min_width: int = 1):
+    """(weights, biases) lists of min_depth-3 hidden layers of width
+    min_width-3, then of an output layer of width 1-2."""
+    widths = draw(st.lists(st.integers(min_width, 3), min_size=min_depth, max_size=3))
+    shapes = list(zip(widths + [draw(st.integers(1, 2))], [1] + widths))
+    return [
+        (
+            [[draw(coefficients) for _ in range(cols)] for _ in range(rows)],
+            [draw(coefficients) for _ in range(rows)],
+        )
+        for rows, cols in shapes
+    ]
+
+
+def to_network(layers) -> ScalarInputNetwork:
+    return ScalarInputNetwork(
+        tuple(DenseLayer(w, b) for w, b in layers[:-1]), DenseLayer(*layers[-1])
+    )
+
+
 def seeded_points(seed: int, count: int, denominator_limit: int = 100) -> list[Fraction]:
     rng = random.Random(seed)
     return [
@@ -41,12 +64,85 @@ def seeded_points(seed: int, count: int, denominator_limit: int = 100) -> list[F
     ]
 
 
+def affine_combine(terms, constant=0) -> LinearSpline:
+    """Exact ``sum(a_i * f_i) + constant`` in canonical form: jumps at a
+    shared location are added, and jumps that cancel to zero are dropped,
+    which is how knots disappear under degenerate combinations."""
+    slope, intercept = Fraction(0), Fraction(constant)
+    jumps: dict[Fraction, Fraction] = {}
+    for coeff, f in terms:
+        if coeff == 0:
+            continue
+        slope += coeff * f.initial_slope
+        intercept += coeff * f.initial_intercept
+        for x, delta in f.breakpoints:
+            jumps[x] = jumps.get(x, 0) + coeff * delta
+    return LinearSpline(slope, intercept, tuple((x, jumps[x]) for x in sorted(jumps) if jumps[x]))
+
+
+def relu(f: LinearSpline) -> LinearSpline:
+    """Exact spline of ``x -> max(0, f(x))`` in canonical form.
+
+    The candidate knots of the output are the knots of ``f`` plus the roots
+    where ``f`` strictly changes sign (one per crossing piece, including the
+    two infinite rays). At each candidate the output's one-sided slopes are
+    the corresponding slopes of ``f`` where ``f`` is positive on that side and
+    zero where it is not; the jump between them is kept only when nonzero.
+    A root that coincides with a knot therefore yields one merged breakpoint,
+    and a piece lying identically on zero contributes no interior knots.
+    """
+    bps = f.breakpoints
+    if not bps:
+        if f.initial_slope == 0:
+            return LinearSpline(0, max(Fraction(0), f.initial_intercept))
+        root = -f.initial_intercept / f.initial_slope
+        events = [(root, Fraction(0), f.initial_slope, f.initial_slope)]
+    else:
+        slopes = f.piece_slopes()
+        values = f.knot_values()
+        events = []  # (x, f(x), slope just left, slope just right)
+        first_x, first_v = bps[0][0], values[0]
+        s0 = slopes[0]
+        # Root on the leftmost ray: f heads away from zero going left, so a
+        # crossing exists exactly when the value at the first knot has the
+        # same sign as the ray slope.
+        if s0 != 0 and first_v != 0 and (first_v > 0) == (s0 > 0):
+            events.append((first_x - first_v / s0, Fraction(0), s0, s0))
+        for i, (x, _delta) in enumerate(bps):
+            events.append((x, values[i], slopes[i], slopes[i + 1]))
+            if i + 1 < len(bps):
+                v_here, v_next = values[i], values[i + 1]
+                if (v_here < 0 < v_next) or (v_next < 0 < v_here):
+                    s = slopes[i + 1]
+                    events.append((x - v_here / s, Fraction(0), s, s))
+        last_x, last_v = bps[-1][0], values[-1]
+        s_last = slopes[-1]
+        if s_last != 0 and last_v != 0 and (last_v > 0) != (s_last > 0):
+            events.append((last_x - last_v / s_last, Fraction(0), s_last, s_last))
+
+    out_initial_slope = f.initial_slope if f.initial_slope < 0 else Fraction(0)
+    breakpoints = []
+    for x, v, left, right in events:
+        out_left = left if (v > 0 or (v == 0 and left < 0)) else 0
+        out_right = right if (v > 0 or (v == 0 and right > 0)) else 0
+        if out_right != out_left:
+            breakpoints.append((x, out_right - out_left))
+    first_x, first_v = events[0][0], events[0][1]
+    intercept = max(Fraction(0), first_v) - out_initial_slope * first_x
+    return LinearSpline(out_initial_slope, intercept, tuple(breakpoints))
+
+
+def combination(witness, units) -> LinearSpline:
+    """The sawtooth a ``SawtoothWitness`` certifies, over the unit splines."""
+    return affine_combine(zip(witness.combination_weights, units))
+
+
 def reference_unit_splines(net) -> list[list[LinearSpline]]:
     """The spline of every hidden unit, layer by layer, one unit at a time:
     relu of the affine combination of the layer below, the input being the
     line x."""
     layers = []
-    units = [LinearSpline.line(1, 0)]
+    units = [LinearSpline(1, 0)]
     for layer in net.hidden_layers:
         units = [
             relu(affine_combine(zip(row, units), b))

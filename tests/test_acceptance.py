@@ -10,9 +10,9 @@ import random
 import time
 from fractions import Fraction as Q
 
+from conftest import affine_combine, combination, relu
 from relu_knots import (
     Architecture,
-    affine_combine,
     build_tight_network,
     check_sawtooth,
     eval_canonical,
@@ -20,7 +20,6 @@ from relu_knots import (
     extract,
     knot_bound,
     recurrence_step,
-    relu,
     stress_bound,
     to_forward_facing,
 )
@@ -157,7 +156,7 @@ def test_criterion_5_bound_universality():
 def _first_layer_units(n1: int) -> list[LinearSpline]:
     layer, _ = build_first_layer_sawtooth(n1)
     return [
-        relu(LinearSpline.line(row[0], b))
+        relu(LinearSpline(row[0], b))
         for row, b in zip(layer.weights, layer.biases)
     ]
 
@@ -185,7 +184,7 @@ def test_criterion_6_sawtooth_invariants():
             relu(affine_combine(zip(row, units), b))
             for row, b in zip(layer.weights, layer.biases)
         )
-        wave = new_witness.combination(new_units)
+        wave = combination(new_witness, new_units)
         values = wave.knot_values()
         step = Q(1, 2 * n_i + 1)
         here = (

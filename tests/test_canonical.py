@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rationals, seeded_points, splines
+from conftest import affine_combine, rationals, relu, seeded_points, splines
 from relu_knots import (
     Architecture,
     DenseLayer,
     LinearSpline,
     Rational,
     ScalarInputNetwork,
-    affine_combine,
     eval_canonical,
     evaluate,
-    relu,
     to_forward_facing,
 )
 from relu_knots.canonical import CanonicalShallowForm
@@ -134,7 +132,7 @@ class TestEquivalence:
         net = random_network(rng, Architecture((5,)))
         form = to_forward_facing(net)
         for xj in form.knot_locations:
-            ramp = relu(LinearSpline.line(1, -xj))
+            ramp = relu(LinearSpline(1, -xj))
             assert ramp.initial_slope == 0
             assert ramp.breakpoints == ((xj, Q(1)),)
 
@@ -167,8 +165,8 @@ def test_eval_canonical_matches_ramp_sum(case):
 @given(x=rationals)
 def test_reflection_identity_on_splines(x):
     # max(0, x) equals max(0, -x) + x, as splines and pointwise.
-    forward = relu(LinearSpline.line(1, 0))
-    rebuilt = affine_combine([(1, relu(LinearSpline.line(-1, 0))), (1, LinearSpline.line(1, 0))])
+    forward = relu(LinearSpline(1, 0))
+    rebuilt = affine_combine([(1, relu(LinearSpline(-1, 0))), (1, LinearSpline(1, 0))])
     assert rebuilt == forward
     assert rebuilt(x) == max(Q(0), x)
 

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
-from conftest import rational_arithmetic_calls, reference_spline_csv, seeded_points, splines
+from conftest import (
+    network_layers,
+    rational_arithmetic_calls,
+    reference_extract,
+    reference_spline_csv,
+    seeded_points,
+    to_network,
+)
 from relu_knots import (
     Architecture,
-    LinearSpline,
+    ScalarInputNetwork,
     evaluate,
     extract,
     load_network,
@@ -317,35 +324,48 @@ class TestAnalyzeCsv:
         assert main(["analyze", reference_file, "--json"]) == 0
 
 
-HALF_THEN_FLAT = LinearSpline(Q(1, 2), Q(0), ((Q(1, 2), Q(-1, 2)),))  # 1/4 right of 1/2
-NO_KNOTS = LinearSpline(Q(-3, 7), Q(5, 2))
-THREE_KNOTS = LinearSpline(
-    Q(2, 3), Q(-1, 5), ((Q(-7, 4), Q(1, 6)), (Q(1, 3), Q(-5, 9)), (Q(11, 2), Q(3, 4)))
-)
+def ramp_network(rows, biases) -> ScalarInputNetwork:
+    """The ramps relu(x), relu(-x), relu(x - 1/2), relu(x + 7/4), relu(x - 1/3)
+    and relu(x - 11/2), as many as the longest row uses, then an output layer
+    whose shorter rows are padded with zeros."""
+    n = max(map(len, rows))
+    hidden = ([[1], [-1], [1], [1], [1], [1]][:n], [0, 0, Q(-1, 2), Q(7, 4), Q(-1, 3), Q(-11, 2)][:n])
+    return to_network([hidden, ([row + [0] * (n - len(row)) for row in rows], biases)])
+
+
+# output rows over those ramps, relu(x) - relu(-x) being x:
+# x/2 with a jump of -1/2 at 1/2, where the intercept right of the knot,
+# 1/4, has a denominator beyond the jump's
+HALF_THEN_FLAT = [Q(1, 2), Q(-1, 2), Q(-1, 2)]
+# -3/7 x, no knot
+NO_KNOTS = [Q(-3, 7), Q(3, 7)]
+# 2/3 x with jumps of 1/6, -5/9 and 3/4 at -7/4, 1/3 and 11/2
+THREE_KNOTS = [Q(2, 3), Q(-2, 3), 0, Q(1, 6), Q(-5, 9), Q(3, 4)]
 
 
 class TestSplineCsv:
-    """``write_spline_csv`` walks in ints; the ``Fraction`` writer kept in
-    ``conftest`` says what it must write."""
+    """``write_spline_csv`` walks the trace's ints; the ``Fraction`` writer
+    kept in ``conftest``, run on ``reference_extract``'s splines, says what
+    it must write."""
 
     @staticmethod
-    def same_as_reference(fs, tmp_path) -> bool:
-        cli.write_spline_csv(fs, tmp_path / "ints.csv")
-        reference_spline_csv(fs, tmp_path / "fractions.csv")
+    def same_as_reference(net, tmp_path) -> bool:
+        cli.write_spline_csv(extract(net), tmp_path / "ints.csv")
+        reference_spline_csv(reference_extract(net)[1], tmp_path / "fractions.csv")
         return (tmp_path / "ints.csv").read_bytes() == (tmp_path / "fractions.csv").read_bytes()
 
     @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(fs=st.lists(splines(), max_size=3))
-    def test_matches_fraction_reference(self, fs, tmp_path):
-        assert self.same_as_reference(fs, tmp_path)
+    @given(layers=network_layers())
+    def test_matches_fraction_reference(self, layers, tmp_path):
+        assert self.same_as_reference(to_network(layers), tmp_path)
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: [HALF_THEN_FLAT],
-            lambda: [NO_KNOTS],
-            lambda: [HALF_THEN_FLAT, NO_KNOTS, THREE_KNOTS],
-            lambda: extract(example_tight_network()).output_splines,
+            lambda: ramp_network([HALF_THEN_FLAT], [0]),
+            lambda: ramp_network([NO_KNOTS], [Q(5, 2)]),
+            lambda: ramp_network([HALF_THEN_FLAT, NO_KNOTS, THREE_KNOTS], [0, Q(5, 2), Q(-1, 5)]),
+            example_tight_network,
         ],
         ids=["intercept-beyond-jump-denominators", "no-knots", "p=3", "reference-network"],
     )
@@ -353,9 +373,9 @@ class TestSplineCsv:
         assert self.same_as_reference(make(), tmp_path)
 
     def test_writes_without_rational_arithmetic(self, tmp_path, monkeypatch):
-        outputs = extract(build_tight_network(Architecture((6, 6, 6, 6), output_dim=2)))
+        trace = extract(build_tight_network(Architecture((6, 6, 6, 6), output_dim=2)))
         with rational_arithmetic_calls(monkeypatch) as calls:
-            cli.write_spline_csv(outputs.output_splines, tmp_path / "splines.csv")
+            cli.write_spline_csv(trace, tmp_path / "splines.csv")
         assert calls == []
 
 
@@ -410,19 +430,13 @@ class TestVerify:
 
         def lying_extract(net):
             trace = real_extract(net)
-            # drop the first output knot: counts no longer match detections
-            crippled = trace.output_splines[0]
-            from relu_knots.spline import LinearSpline
-
-            truncated = LinearSpline(
-                crippled.initial_slope,
-                crippled.initial_intercept,
-                crippled.breakpoints[1:],
-            )
-            return type(trace)(
-                (truncated,),
-                trace.per_layer_knot_union,
-                trace.output_knots[1:],
+            # drop the first output knot and its jump: counts no longer
+            # match detections
+            slope, intercept, knots, jumps = trace.outputs[0]
+            return dataclasses.replace(
+                trace,
+                outputs=((slope, intercept, knots[1:], jumps[1:]),),
+                output_knots=trace.output_knots[1:],
             )
 
         monkeypatch.setattr(verify_mod, "extract", lying_extract)

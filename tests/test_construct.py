@@ -4,11 +4,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import knot_union, reference_unit_splines
+from conftest import affine_combine, combination, knot_union, reference_unit_splines, relu
 from relu_knots import (
     Architecture,
     DenseLayer,
-    affine_combine,
     check_sawtooth,
     extract,
     recurrence_step,
@@ -20,17 +19,17 @@ from relu_knots.construct import (
     build_tight_network,
     example_tight_network,
 )
-from relu_knots.spline import LinearSpline, relu
+from relu_knots.spline import LinearSpline
 
 
 def layer_splines(layer: DenseLayer) -> list[LinearSpline]:
-    return [relu(LinearSpline.line(row[0], b)) for row, b in zip(layer.weights, layer.biases)]
+    return [relu(LinearSpline(row[0], b)) for row, b in zip(layer.weights, layer.biases)]
 
 
 class TestFirstLayerSawtooth:
     def test_eight_units(self):
         layer, witness = build_first_layer_sawtooth(8)
-        wave = witness.combination(extract_layer(layer))
+        wave = combination(witness, extract_layer(layer))
         assert wave.knots() == [Q(j) for j in range(8)]
         assert wave.piece_slopes() == [Q(-2)] + [Q(1) if i % 2 == 0 else Q(-1) for i in range(8)]
         assert witness.expected_knots == 8
@@ -40,13 +39,13 @@ class TestFirstLayerSawtooth:
         layer, witness = build_first_layer_sawtooth(6)
         net = example_tight_network()
         assert layer == net.hidden_layers[0]
-        wave = witness.combination(extract_layer(layer))
+        wave = combination(witness, extract_layer(layer))
         assert wave.knot_value_range() == (4, 5)
         assert witness.oscillation_range == (4, 5)
 
     def test_three_units_minimal(self):
         layer, witness = build_first_layer_sawtooth(3)
-        wave = witness.combination(extract_layer(layer))
+        wave = combination(witness, extract_layer(layer))
         assert wave.knots() == [Q(0), Q(1), Q(2)]
         # halving the weights gives the unscaled slope walk -1, 1/2, -1/2, 1/2
         half = affine_combine(
@@ -92,14 +91,14 @@ class TestInductiveLayer:
 
     def test_knot_count_follows_recurrence(self):
         _, witness, units = build_prefix((6, 3))
-        wave = witness.combination(units)
+        wave = combination(witness, units)
         assert len(wave.knots()) == 27 == recurrence_step(6, 3)
         assert check_sawtooth(wave).ok
 
     @pytest.mark.parametrize("n_i", [3, 5, 7])
     def test_vertical_displacements(self, n_i):
         _, witness, units = build_prefix((3, n_i))
-        wave = witness.combination(units)
+        wave = combination(witness, units)
         values = wave.knot_values()
         step = Q(1, 2 * n_i + 1)
         assert all(abs(b - a) == step for a, b in zip(values, values[1:]))

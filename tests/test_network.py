@@ -9,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
+    network_layers,
     nonzero_rationals,
     rational_arithmetic_calls,
     rationals,
@@ -16,6 +17,7 @@ from conftest import (
     same_as_reference,
     seeded_points,
     splines,
+    to_network,
 )
 from relu_knots import (
     Architecture,
@@ -29,6 +31,7 @@ from relu_knots import (
     recurrence_step,
     save_network,
 )
+from relu_knots import network
 from relu_knots.cli import main
 from relu_knots.construct import build_tight_network, example_tight_network
 from relu_knots.verify import random_network
@@ -68,31 +71,6 @@ def plain_forward(hidden, output, x) -> list[Q]:
         ]
     weights, biases = output
     return [sum((w * v for w, v in zip(row, signal)), b) for row, b in zip(weights, biases)]
-
-
-# zero weights and biases drawn often, next to small rationals
-coefficients = st.one_of(st.just(Q(0)), rationals)
-
-
-@st.composite
-def network_layers(draw, min_depth: int = 1, min_width: int = 1):
-    """(weights, biases) lists of min_depth-3 hidden layers of width
-    min_width-3, then of an output layer of width 1-2."""
-    widths = draw(st.lists(st.integers(min_width, 3), min_size=min_depth, max_size=3))
-    shapes = list(zip(widths + [draw(st.integers(1, 2))], [1] + widths))
-    return [
-        (
-            [[draw(coefficients) for _ in range(cols)] for _ in range(rows)],
-            [draw(coefficients) for _ in range(rows)],
-        )
-        for rows, cols in shapes
-    ]
-
-
-def to_network(layers) -> ScalarInputNetwork:
-    return ScalarInputNetwork(
-        tuple(DenseLayer(w, b) for w, b in layers[:-1]), DenseLayer(*layers[-1])
-    )
 
 
 @st.composite
@@ -208,6 +186,28 @@ class TestExtract:
         with rational_arithmetic_calls(monkeypatch) as calls:
             extract(net)
         assert calls == []
+
+    def test_builds_no_rational_per_output(self, monkeypatch):
+        # The outputs stay in ints on the final grid: one output or three
+        # over the same hidden layers build the same rationals, the ReLU
+        # roots alone.
+        hidden = build_tight_network(Architecture((6, 6, 6, 6))).hidden_layers
+        counts = []
+        for p in (1, 3):
+            output = DenseLayer(
+                tuple(tuple((-1) ** (j + k) for j in range(6)) for k in range(p)), tuple(range(p))
+            )
+            built = []
+
+            def counted(*args):
+                built.append(args)
+                return Rational(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(network, "Rational", counted)
+                extract(ScalarInputNetwork(hidden, output))
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
 
 
 class TestKnotReport:

@@ -1,10 +1,16 @@
-"""Package-level guards: the public names resolve, and rationals have one home."""
+"""Package-level guards: the public names resolve, rationals have one home,
+and the benchmark in ``perfbench/`` still runs against the package."""
 
 from __future__ import annotations
 
 import ast
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import relu_knots
 
@@ -38,3 +44,16 @@ def test_only_rational_imports_fractions():
                 if top in importers:
                     importers[top].append(path.name)
     assert importers == {"fractions": ["rational.py"], "gmpy2": []}
+
+
+@pytest.mark.parametrize("workload", ["ladder", "random", "crosscheck"])
+def test_benchmark_smoke_run(workload):
+    # one traced round reads the trace the way the benchmark does
+    # (``output_splines``, ``output_knot_union()``) and checks every output
+    root = Path(__file__).resolve().parent.parent
+    argv = ["perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"]
+    run = subprocess.run([sys.executable, *argv], cwd=root, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    last = json.loads(run.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True
+    assert last["failed"] == 0

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rationals, reference_unit_splines, splines
-from relu_knots import LinearSpline, affine_combine, relu
+from conftest import affine_combine, rationals, reference_unit_splines, relu, splines
+from relu_knots import LinearSpline
 from relu_knots.construct import build_first_layer_sawtooth, example_tight_network
 from relu_knots.network import extract
 
@@ -16,7 +16,7 @@ SIGMA = LinearSpline(0, 0, ((Q(0), Q(1)),))  # max(0, x)
 
 def first_layer_splines(n1: int) -> list[LinearSpline]:
     layer, _ = build_first_layer_sawtooth(n1)
-    return [relu(LinearSpline.line(row[0], b)) for row, b in zip(layer.weights, layer.biases)]
+    return [relu(LinearSpline(row[0], b)) for row, b in zip(layer.weights, layer.biases)]
 
 
 def reference_sawtooth(n1: int = 6) -> LinearSpline:
@@ -26,7 +26,7 @@ def reference_sawtooth(n1: int = 6) -> LinearSpline:
 
 class TestEval:
     def test_identity_line(self):
-        f = LinearSpline.line(1, 0)
+        f = LinearSpline(1, 0)
         assert f(5) == 5
 
     def test_relu_unit(self):
@@ -64,7 +64,7 @@ class TestAffineCombine:
         assert combined.breakpoints == ()
 
     def test_empty_terms_yield_constant(self):
-        assert affine_combine([], Q(7, 2)) == LinearSpline.constant(Q(7, 2))
+        assert affine_combine([], Q(7, 2)) == LinearSpline(0, Q(7, 2))
 
     def test_slope_sequence_of_eight_unit_wave(self):
         # Half the witness weights with offset -9/4: slopes must alternate
@@ -112,11 +112,11 @@ def brute_force_relu_knots(f: LinearSpline) -> list[Q]:
 
 class TestRelu:
     def test_relu_of_identity_is_ramp(self):
-        assert relu(LinearSpline.line(1, 0)) == SIGMA
+        assert relu(LinearSpline(1, 0)) == SIGMA
 
     def test_everywhere_negative_flattens(self):
-        out = relu(LinearSpline.constant(-1))
-        assert out == LinearSpline.constant(0)
+        out = relu(LinearSpline(0, -1))
+        assert out == LinearSpline(0, 0)
 
     def test_shifted_sawtooth(self):
         # Wave oscillating between -1/2 and 1/2 with 6 knots: ReLU keeps the
@@ -138,7 +138,7 @@ class TestRelu:
         out = relu(f)
         assert out == f  # f is nonnegative, relu is the identity here
         g = LinearSpline(1, 0, ((Q(0), Q(-2)),))  # peak 0 at x=0, negative elsewhere
-        assert relu(g) == LinearSpline.constant(0)
+        assert relu(g) == LinearSpline(0, 0)
 
     def test_piece_identically_zero_adds_no_interior_knots(self):
         # down to 0 at x=0, flat to x=1, up afterwards
@@ -147,12 +147,12 @@ class TestRelu:
         assert out == f  # already nonnegative with a flat-zero middle piece
 
     def test_zero_constant(self):
-        assert relu(LinearSpline.constant(0)) == LinearSpline.constant(0)
+        assert relu(LinearSpline(0, 0)) == LinearSpline(0, 0)
 
 
 class TestKnots:
     def test_constant_has_none(self):
-        assert LinearSpline.constant(3).knots() == []
+        assert LinearSpline(0, 3).knots() == []
 
     def test_relu_unit_has_origin(self):
         assert SIGMA.knots() == [0]
@@ -177,7 +177,7 @@ class TestKnotValueRange:
 
     def test_requires_a_knot(self):
         with pytest.raises(ValueError):
-            LinearSpline.line(2, 1).knot_value_range()
+            LinearSpline(2, 1).knot_value_range()
 
 
 class TestCanonicalForm:
@@ -195,7 +195,7 @@ class TestCanonicalForm:
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
-            LinearSpline.line(0.5, 0)
+            LinearSpline(0.5, 0)
 
 
 

@@ -5,18 +5,17 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conftest import affine_combine, relu
 from relu_knots import (
     Architecture,
     DenseLayer,
     ScalarInputNetwork,
     SamplingConfig,
-    affine_combine,
     build_tight_network,
     check_sawtooth,
     detect_knots_by_sampling,
     extract,
     knot_bound,
-    relu,
     stress_bound,
 )
 from relu_knots.construct import build_first_layer_sawtooth, example_tight_network
@@ -201,7 +200,7 @@ class TestCheckSawtooth:
     def wave(self, n1: int = 8, offset: Q = Q(-9, 4)) -> LinearSpline:
         layer, witness = build_first_layer_sawtooth(n1)
         units = [
-            relu(LinearSpline.line(row[0], b))
+            relu(LinearSpline(row[0], b))
             for row, b in zip(layer.weights, layer.biases)
         ]
         terms = [(a / 2, f) for a, f in zip(witness.combination_weights, units)]
@@ -214,12 +213,12 @@ class TestCheckSawtooth:
 
     def test_needs_two_knots(self):
         with pytest.raises(ValueError):
-            check_sawtooth(relu(LinearSpline.line(1, 0)))
+            check_sawtooth(relu(LinearSpline(1, 0)))
 
     def test_perturbed_weight_breaks_level_minima(self):
         layer, witness = build_first_layer_sawtooth(8)
         units = [
-            relu(LinearSpline.line(row[0], b))
+            relu(LinearSpline(row[0], b))
             for row, b in zip(layer.weights, layer.biases)
         ]
         weights = [a / 2 for a in witness.combination_weights]
