@@ -40,7 +40,7 @@ from .construct import build_tight_network
 from .jsonio import SchemaError, load_network, network_to_dict, save_network
 from .network import KNOT_LIMIT, ExtractionTrace, ScalarInputNetwork, evaluate, extract
 from .rational import Rational, decimal_str, format_ratio, format_rational, parse_rational
-from .verify import AgreementReport, SamplingConfig, oracle_agreement, stress_bound
+from .verify import SAMPLE_LIMIT, AgreementReport, SamplingConfig, oracle_agreement, stress_bound
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -237,6 +237,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "grid_step": agreement.grid_step,
         "max_location_error": agreement.max_location_error,
         "agree": agreement.agree,
+        "crowded": agreement.crowded,
     }
     if args.trials:
         stress = stress_bound(net.architecture, args.trials, seed)
@@ -273,22 +274,22 @@ def _mismatch_message(agreement: AgreementReport, cfg: SamplingConfig) -> str:
     """The exit-4 message, naming the sample count that separates the exact
     knots when the grid is too coarse for them."""
     message = "sampling oracle disagrees with exact extraction"
-    exact = agreement.exact
-    if len(agreement.detected) == len(exact):
+    if len(agreement.detected) == len(agreement.exact) or not agreement.crowded:
         return message
     low, high = cfg.interval
-    if len(exact) > 1:
-        gap = min(b - a for a, b in zip(exact, exact[1:]))
-        if gap * (cfg.samples - 1) <= 3 * (high - low):
-            # smallest n whose step (high - low) / (n - 1) is below gap / 3
-            needed = int(3 * (high - low) // gap) + 2
-            message += (
-                f": the grid is too coarse, the smallest gap between exact knots "
-                f"({float(gap):.3g}) is at most three grid steps "
-                f"({3 * agreement.grid_step:.3g}); --samples {needed} "
-                f"or more separates them"
-            )
-    return message
+    gap = agreement.smallest_gap
+    # smallest n whose step (high - low) / (n - 1) is below gap / 3
+    needed = int(3 * (high - low) // gap) + 2
+    separates = (
+        f"--samples {needed} or more separates them"
+        if needed <= SAMPLE_LIMIT
+        else f"no sample count up to the limit of {SAMPLE_LIMIT} separates them"
+    )
+    return (
+        f"{message}: the grid is too coarse, the smallest gap between exact knots "
+        f"({float(gap):.3g}) is at most three grid steps "
+        f"({3 * agreement.grid_step:.3g}); {separates}"
+    )
 
 
 def cmd_canonicalize(args: argparse.Namespace) -> int:

@@ -12,6 +12,7 @@ search cannot prove nonexistence).
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .bounds import Architecture, Tightness, knot_bound, tightness_eligibility
@@ -20,6 +21,7 @@ from .rational import Rational, as_rational
 from .spline import LinearSpline
 
 SLOPE_CHANGE_TOLERANCE = 1e-6  # relative threshold of the sampling detector
+SAMPLE_LIMIT = 10_000_001  # largest grid: its float values take about 80 MB per output
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,6 +38,8 @@ class SamplingConfig:
             raise ValueError("interval must satisfy low < high")
         if self.samples < 3:
             raise ValueError("need at least 3 samples to form a second difference")
+        if self.samples > SAMPLE_LIMIT:
+            raise ValueError(f"samples must be at most {SAMPLE_LIMIT}, got {self.samples}")
 
     @property
     def grid_step(self) -> float:
@@ -44,49 +48,72 @@ class SamplingConfig:
 
 
 BLOCK = 2048  # grid points per block of the float forward pass
+# kernel(row, b, columns): one row of a layer over the columns of a block
+Kernel = Callable[[list[float], float, list[list[float]]], list[float]]
 
 
-def _float_layers(net: ScalarInputNetwork) -> list[tuple[list[list[float]], list[float]]]:
-    """Float weights and biases of every hidden layer, then of the output layer."""
-    return [
-        ([[float(w) for w in row] for row in layer.weights], [float(b) for b in layer.biases])
-        for layer in (*net.hidden_layers, net.output_layer)
-    ]
+def _row_kernel(inputs: int, relu: bool) -> Kernel:
+    """The kernel of a row of ``inputs`` weights: one list pass over a block.
+
+    The source is generated for the row's input count: a list comprehension
+    over ``zip`` of the columns that evaluates ``w0*v0 + w1*v1 + ... + b``,
+    then relu on hidden rows. Python adds that expression left to right, as
+    ``((w0*v0 + w1*v1) + ...) + b``. The weights and the bias are arguments,
+    never text in the source.
+    """
+    ws = "".join(f"w{k}, " for k in range(inputs))
+    cs = "".join(f"c{k}, " for k in range(inputs))
+    vs = "".join(f"v{k}, " for k in range(inputs))
+    value = " + ".join([*(f"w{k} * v{k}" for k in range(inputs)), "b"])
+    item = f"p if (p := {value}) > 0.0 else 0.0" if relu else value
+    source = (
+        "def kernel(row, b, columns):\n"
+        f"    {ws}= row\n"
+        f"    {cs}= columns\n"
+        f"    return [{item} for {vs}in zip({cs})]\n"
+    )
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["kernel"]
+
+
+def _float_layers(net: ScalarInputNetwork) -> list[tuple[Kernel, list[list[float]], list[float]]]:
+    """Row kernel, float weights and float biases of every hidden layer, then
+    of the output layer. Layers with the same input count and activation
+    share one kernel."""
+    kernels: dict[tuple[int, bool], Kernel] = {}
+    layers = []
+    for layer in (*net.hidden_layers, net.output_layer):
+        key = (len(layer.weights[0]), layer is not net.output_layer)
+        if key not in kernels:
+            kernels[key] = _row_kernel(*key)
+        weights = [[float(w) for w in row] for row in layer.weights]
+        layers.append((kernels[key], weights, [float(b) for b in layer.biases]))
+    return layers
 
 
 def _float_forward(
-    layers: list[tuple[list[list[float]], list[float]]], xs: list[float]
+    layers: list[tuple[Kernel, list[list[float]], list[float]]], xs: list[float]
 ) -> list[list[float]]:
     """Plain-float forward pass over one block of grid points.
 
     ``layers`` comes from ``_float_layers``; the result is one value list per
-    output. The pass runs one layer at a time over the whole block, yet every
-    value gets the float operations a pass at a single point would make, in
-    the same order: the weighted inputs added left to right, then the bias,
-    then relu on hidden units. So, for any block size, the values must be
+    output. The pass runs one layer at a time over the whole block, and each
+    row of a layer is one generated list pass (``_row_kernel``). Every value
+    gets the float operations a pass at a single point would make, in the
+    same order: the weighted inputs added left to right, then the bias, then
+    relu on hidden units. So, for any block size, the values must be
     bit-identical to a pass that evaluates one point at a time and adds each
     weighted sum left to right (not with ``sum``, which compensates floats
-    from Python 3.12). ``reference_outputs`` in ``tests/test_verify.py`` is
-    that pass, and the tests compare the two.
+    from Python 3.12). That pass starts its total at the integer 0, and
+    ``0 + w0*v0`` differs from ``w0*v0`` only in the sign of a zero, which
+    adding the bias, never -0.0, removes. ``reference_outputs`` in
+    ``tests/test_verify.py`` is that pass, and the tests compare the two.
     """
-    *hidden, (out_w, out_b) = layers
     signal = [xs]
-    for weights, biases in hidden:
-        signal = [
-            [p if (p := a + b) > 0.0 else 0.0 for a in _weighted_inputs(row, signal)]
-            for row, b in zip(weights, biases)
-        ]
-    return [
-        [a + b for a in _weighted_inputs(row, signal)] for row, b in zip(out_w, out_b)
-    ]
-
-
-def _weighted_inputs(row: list[float], signal: list[list[float]]) -> list[float]:
-    """Sum of ``w * column`` over the row's weights, added left to right."""
-    acc = [row[0] * v for v in signal[0]]
-    for w, column in zip(row[1:], signal[1:]):
-        acc = [a + w * v for a, v in zip(acc, column)]
-    return acc
+    for kernel, weights, biases in layers:
+        signal = [kernel(row, b, signal) for row, b in zip(weights, biases)]
+    return signal
 
 
 def _grid_points(cfg: SamplingConfig, first: int, last: int) -> list[float]:
@@ -123,16 +150,18 @@ def detect_knots_by_sampling(
     point of the interval is never detected: second differences are taken
     only at interior grid points.
 
-    The grid points come from ``_grid_points``. The network runs over
-    blocks of ``BLOCK`` of them, one layer at a time (``_float_forward``),
-    with the float operations of a pass at one point in the same order, so
-    the values and the detections do not depend on the blocks. Each point is
-    one correctly rounded int division, and the values must be bit-identical
-    to a pass that handles one point at a time and adds each weighted sum
-    left to right; the per-sample ``reference_outputs`` in
-    ``tests/test_verify.py`` is the check (see ``_float_forward``). Only
-    each output's values over the grid are kept, because its threshold needs
-    its largest magnitude.
+    The grid points come from ``_grid_points``; each is one correctly
+    rounded int division. The network runs over blocks of ``BLOCK`` of them,
+    one layer at a time (``_float_forward``), and each row of a layer is one
+    list pass generated for the row's input count (``_row_kernel``). The
+    kernels are built once per call, one per input count and activation. A
+    row's pass makes the float operations of a pass at one point, in the
+    same order: the weighted inputs added left to right, then the bias, then
+    relu on hidden rows. So the values are bit-identical to a pass that handles
+    one point at a time, and the detections do not depend on the blocks; the
+    per-sample ``reference_outputs`` in ``tests/test_verify.py`` is the
+    check. Only each output's values over the grid are kept, because its
+    threshold needs its largest magnitude.
     """
     # imported here: the array extension adds about 0.2 MB of resident
     # memory to every process that imports the package, and only this uses it
@@ -170,7 +199,10 @@ class AgreementReport:
 
     ``exact`` holds the exact knots strictly inside the sampled interval;
     the ``exact_outside_interval`` others, those on its end points included,
-    are not compared.
+    are not compared. ``crowded`` counts the exact knots within three grid
+    steps of a neighbour, which the grid cannot separate, and
+    ``smallest_gap`` is the least distance between two exact knots (None
+    with fewer than two).
     """
 
     detected: tuple[float, ...]
@@ -179,6 +211,8 @@ class AgreementReport:
     grid_step: float
     max_location_error: float | None
     agree: bool
+    crowded: int
+    smallest_gap: Rational | None
 
     def summary(self) -> str:
         status = "agree" if self.agree else "MISMATCH"
@@ -211,6 +245,9 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
         errors = [abs(d - float(e)) for d, e in zip(detected, exact)]
         max_error = max(errors)
         agree = max_error <= cfg.grid_step
+    gaps = [b - a for a, b in zip(exact, exact[1:])]
+    three_steps = 3 * (high - low) / (cfg.samples - 1)
+    close = [gap <= three_steps for gap in gaps]
     return AgreementReport(
         detected=detected,
         exact=exact,
@@ -218,6 +255,8 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
         grid_step=cfg.grid_step,
         max_location_error=max_error,
         agree=agree,
+        crowded=sum(left or right for left, right in zip([False, *close], [*close, False])),
+        smallest_gap=min(gaps, default=None),
     )
 
 

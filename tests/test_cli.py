@@ -3,7 +3,11 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -493,6 +497,58 @@ class TestVerify:
         monkeypatch.setattr(cli, "stress_bound", broken)
         assert main(["verify", shallow_file, "--samples", "1001", "--trials", "1"]) == 1
         assert capsys.readouterr().err == "error: trial 0: 9 knots exceed the bound 8\n"
+
+    def test_oversized_sample_count_exits_2(self, reference_file):
+        # refused before any grid point is computed; without a limit the run
+        # would go on for hours and its value arrays would need about 1.6 TB
+        argv = [sys.executable, "-m", "relu_knots.cli", "verify", reference_file]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        run = subprocess.run(
+            argv + ["--samples", "100000000000"], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == "error: samples must be at most 10000001, got 100000000000\n"
+
+    def test_knots_closer_than_the_limit_separates(self, tmp_path, capsys):
+        # knots at 0 and 10^-8 on [-1, 1]: separating them takes 6 * 10^8
+        # samples, above SAMPLE_LIMIT, so the message names no sample count
+        path = tmp_path / "close.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "p": 1,
+                    "hidden_layers": [
+                        {"weights": [["1"], ["1"]], "biases": ["0", "-1/100000000"]}
+                    ],
+                    "output_layer": {"weights": [["1", "1"]], "biases": ["0"]},
+                }
+            )
+        )
+        args = ["verify", str(path), "--interval", "-1", "1", "--samples", "1001"]
+        assert main(args + ["--json"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["detected"], payload["exact"], payload["crowded"]) == (1, 2, 2)
+        assert capsys.readouterr().err == ""
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "(1e-08) is at most three grid steps (0.006)" in err
+        assert err.endswith("; no sample count up to the limit of 10000001 separates them\n")
+
+    def test_crowded_knots_reported(self, reference_file, tmp_path, capsys):
+        # the reference network's knots are at least 1/42 apart: none is
+        # within three grid steps (3 * 7/100000) of another
+        assert main(["verify", reference_file, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["samples"], payload["exact"], payload["crowded"]) == (100_001, 83, 0)
+        # (5,5,5,5,5) with p = 2: the exit-4 case the benchmark's README names
+        path = tmp_path / "5x5x5x5x5.json"
+        assert main(["build", "5", "5", "5", "5", "5", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(path), "--json"]) == 4
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["detected"], payload["exact"], payload["crowded"]) == (7660, 7775, 139)
+        assert payload["agree"] is False
 
     def test_constant_network_agrees_on_zero(self, tmp_path, capsys):
         path = tmp_path / "constant.json"

@@ -1,5 +1,6 @@
 """Package-level guards: the public names resolve, rationals have one home,
-and the benchmark in ``perfbench/`` still runs against the package."""
+and the benchmark in ``perfbench/`` still runs against the package and
+passes its own unit tests."""
 
 from __future__ import annotations
 
@@ -57,3 +58,12 @@ def test_benchmark_smoke_run(workload):
     last = json.loads(run.stdout.strip().splitlines()[-1])
     assert last["correct"] is True
     assert last["failed"] == 0
+
+
+def test_benchmark_checker_tests_pass():
+    # the stdlib unit tests of the benchmark's checkers and metrics
+    root = Path(__file__).resolve().parent.parent
+    argv = ["-m", "unittest", "discover", "-s", "perfbench", "-p", "test_*.py"]
+    run = subprocess.run([sys.executable, *argv], cwd=root, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "Ran 0 tests" not in run.stderr

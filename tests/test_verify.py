@@ -4,8 +4,10 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import affine_combine, relu
+from conftest import affine_combine, network_layers, relu, to_network
 from relu_knots import (
     Architecture,
     DenseLayer,
@@ -22,6 +24,7 @@ from relu_knots.construct import build_first_layer_sawtooth, example_tight_netwo
 from relu_knots.spline import LinearSpline
 from relu_knots.verify import (
     BLOCK,
+    SAMPLE_LIMIT,
     SLOPE_CHANGE_TOLERANCE,
     _float_forward,
     _float_layers,
@@ -85,6 +88,14 @@ def reference_detections(net: ScalarInputNetwork, cfg: SamplingConfig) -> list[f
     return detections
 
 
+def assert_bit_identical(net: ScalarInputNetwork, xs: list[float]) -> None:
+    block = _float_forward(_float_layers(net), xs)
+    reference = reference_outputs(net, xs)
+    assert [list(map(float.hex, ys)) for ys in block] == [
+        list(map(float.hex, ys)) for ys in reference
+    ]
+
+
 def seeded_networks() -> list[ScalarInputNetwork]:
     """Random networks of depth 1-3 and 1-3 outputs, knots spread over [-5, 5]."""
     rng = random.Random(20240)
@@ -145,6 +156,9 @@ class TestDetection:
             SamplingConfig((Q(1), Q(1)))
         with pytest.raises(ValueError):
             SamplingConfig((Q(0), Q(1)), samples=2)
+        assert SamplingConfig((Q(0), Q(1)), samples=SAMPLE_LIMIT).samples == SAMPLE_LIMIT
+        with pytest.raises(ValueError, match="at most 10000001, got 10000002"):
+            SamplingConfig((Q(0), Q(1)), samples=SAMPLE_LIMIT + 1)
 
 
 class TestBlockPass:
@@ -163,11 +177,36 @@ class TestBlockPass:
     def test_block_values_are_bit_identical(self):
         xs = [float(Q(-7, 3) + Q(i, 97)) for i in range(433)]
         for net in seeded_networks():
-            block = _float_forward(_float_layers(net), xs)
-            reference = reference_outputs(net, xs)
-            assert [list(map(float.hex, ys)) for ys in block] == [
-                list(map(float.hex, ys)) for ys in reference
-            ]
+            assert_bit_identical(net, xs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(layers=network_layers(max_width=9), points=st.sampled_from((1, 5, BLOCK)))
+    def test_drawn_rows_are_bit_identical(self, layers, points):
+        # rows of 1 to 9 inputs, with zero weights and biases drawn often
+        xs = _grid_points(SamplingConfig((Q(-7, 3), Q(11, 5)), samples=BLOCK + 1), 0, points)
+        assert_bit_identical(to_network(layers), xs)
+
+    @pytest.mark.parametrize("inputs", range(1, 10))
+    @pytest.mark.parametrize("points", [1, 5, BLOCK])
+    def test_every_row_arity_is_bit_identical(self, inputs, points):
+        # kernels of 1 input (the first layer) and of `inputs` inputs, with
+        # and without relu; about one weight and one bias in three are zero
+        rng = random.Random(inputs)
+
+        def layer(rows, cols):
+            def value():
+                return Q(0) if rng.random() < 1 / 3 else Q(rng.randint(-30, 30), rng.randint(1, 7))
+
+            return [[value() for _ in range(cols)] for _ in range(rows)], [value() for _ in range(rows)]
+
+        net = to_network([layer(inputs, 1), layer(inputs, inputs), layer(2, inputs)])
+        xs = _grid_points(SamplingConfig((Q(-5), Q(3, 7)), samples=BLOCK + 1), 0, points)
+        assert_bit_identical(net, xs)
+
+    @pytest.mark.parametrize("points", [1, 5, BLOCK])
+    def test_built_network_is_bit_identical(self, points):
+        net = build_tight_network(Architecture((8, 8, 8)))
+        assert_bit_identical(net, _grid_points(SamplingConfig((Q(-1), Q(8))), 49_000, 49_000 + points))
 
     @pytest.mark.parametrize("interval", ODD_INTERVALS)
     def test_integer_grid_is_the_rounded_fraction_grid(self, interval):
