@@ -40,7 +40,14 @@ from .construct import build_tight_network
 from .jsonio import SchemaError, load_network, network_to_dict, save_network
 from .network import KNOT_LIMIT, ExtractionTrace, ScalarInputNetwork, evaluate, extract
 from .rational import Rational, decimal_str, format_ratio, format_rational, parse_rational
-from .verify import SAMPLE_LIMIT, AgreementReport, SamplingConfig, oracle_agreement, stress_bound
+from .verify import (
+    SAMPLE_LIMIT,
+    SEPARATION_STEPS,
+    AgreementReport,
+    SamplingConfig,
+    oracle_agreement,
+    stress_bound,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -266,29 +273,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"({stress_info['note']})"
                 )
     if not agreement.agree:
-        raise _CliError(_mismatch_message(agreement, cfg), EXIT_MISMATCH)
+        raise _CliError(_mismatch_message(agreement), EXIT_MISMATCH)
     return EXIT_OK
 
 
-def _mismatch_message(agreement: AgreementReport, cfg: SamplingConfig) -> str:
+def _mismatch_message(agreement: AgreementReport) -> str:
     """The exit-4 message, naming the sample count that separates the exact
     knots when the grid is too coarse for them."""
     message = "sampling oracle disagrees with exact extraction"
     if len(agreement.detected) == len(agreement.exact) or not agreement.crowded:
         return message
-    low, high = cfg.interval
-    gap = agreement.smallest_gap
-    # smallest n whose step (high - low) / (n - 1) is below gap / 3
-    needed = int(3 * (high - low) // gap) + 2
     separates = (
-        f"--samples {needed} or more separates them"
-        if needed <= SAMPLE_LIMIT
-        else f"no sample count up to the limit of {SAMPLE_LIMIT} separates them"
+        f"no sample count up to the limit of {SAMPLE_LIMIT} separates them"
+        if agreement.separating_samples is None
+        else f"--samples {agreement.separating_samples} or more separates them"
     )
     return (
         f"{message}: the grid is too coarse, the smallest gap between exact knots "
-        f"({float(gap):.3g}) is at most three grid steps "
-        f"({3 * agreement.grid_step:.3g}); {separates}"
+        f"({float(agreement.smallest_gap):.3g}) is at most three grid steps "
+        f"({SEPARATION_STEPS * agreement.grid_step:.3g}); {separates}"
     )
 
 

@@ -22,6 +22,7 @@ from .spline import LinearSpline
 
 SLOPE_CHANGE_TOLERANCE = 1e-6  # relative threshold of the sampling detector
 SAMPLE_LIMIT = 10_000_001  # largest grid: its float values take about 80 MB per output
+SEPARATION_STEPS = 3  # grid steps two knots need between them to be told apart
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,33 +49,65 @@ class SamplingConfig:
 
 
 BLOCK = 2048  # grid points per block of the float forward pass
+CHUNK = 32  # most inputs summed in one generated expression
 # kernel(row, b, columns): one row of a layer over the columns of a block
 Kernel = Callable[[list[float], float, list[list[float]]], list[float]]
 
 
-def _row_kernel(inputs: int, relu: bool) -> Kernel:
-    """The kernel of a row of ``inputs`` weights: one list pass over a block.
+def _list_pass(inputs: int, resume: bool, finish: bool, relu: bool) -> Callable[..., list[float]]:
+    """One list pass over ``zip`` of ``inputs`` columns of a block.
 
-    The source is generated for the row's input count: a list comprehension
-    over ``zip`` of the columns that evaluates ``w0*v0 + w1*v1 + ... + b``,
-    then relu on hidden rows. Python adds that expression left to right, as
-    ``((w0*v0 + w1*v1) + ...) + b``. The weights and the bias are arguments,
-    never text in the source.
+    The source is generated for the input count: a list comprehension that
+    evaluates ``w0*v0 + w1*v1 + ...``, started from the running sums ``a``
+    of ``acc`` if ``resume``, and, if ``finish``, ended by ``+ b`` and relu
+    on hidden rows. Python adds that expression left to right, as
+    ``((a + w0*v0) + w1*v1) + ...``. The weights and the bias are
+    arguments, never text in the source.
     """
     ws = "".join(f"w{k}, " for k in range(inputs))
     cs = "".join(f"c{k}, " for k in range(inputs))
     vs = "".join(f"v{k}, " for k in range(inputs))
-    value = " + ".join([*(f"w{k} * v{k}" for k in range(inputs)), "b"])
-    item = f"p if (p := {value}) > 0.0 else 0.0" if relu else value
+    terms = [f"w{k} * v{k}" for k in range(inputs)]
+    zipped = cs
+    if resume:
+        terms, vs, zipped = ["a", *terms], "a, " + vs, "acc, " + cs
+    value = " + ".join([*terms, "b"] if finish else terms)
+    item = f"p if (p := {value}) > 0.0 else 0.0" if finish and relu else value
     source = (
-        "def kernel(row, b, columns):\n"
+        "def list_pass(row, b, columns, acc=None):\n"
         f"    {ws}= row\n"
         f"    {cs}= columns\n"
-        f"    return [{item} for {vs}in zip({cs})]\n"
+        f"    return [{item} for {vs}in zip({zipped})]\n"
     )
     namespace: dict = {}
     exec(source, namespace)
-    return namespace["kernel"]
+    return namespace["list_pass"]
+
+
+def _row_kernel(inputs: int, relu: bool) -> Kernel:
+    """The kernel of a row of ``inputs`` weights: its weighted inputs added
+    left to right, then the bias, then relu on hidden rows.
+
+    A row of at most ``CHUNK`` inputs is one ``_list_pass``. CPython's
+    compiler refuses an expression nested a few thousand levels deep, and
+    each term of the sum is one level, so a wider row takes one pass per
+    ``CHUNK`` of its inputs, each resuming from the running sums of the one
+    before. The additions keep their order, so the chunks change no value.
+    """
+    if inputs <= CHUNK:
+        return _list_pass(inputs, resume=False, finish=True, relu=relu)
+    rest = inputs - CHUNK * ((inputs - 1) // CHUNK)  # inputs of the last pass
+    first = _list_pass(CHUNK, resume=False, finish=False, relu=False)
+    middle = _list_pass(CHUNK, resume=True, finish=False, relu=False)
+    last = _list_pass(rest, resume=True, finish=True, relu=relu)
+
+    def kernel(row: list[float], b: float, columns: list[list[float]]) -> list[float]:
+        acc = first(row[:CHUNK], b, columns[:CHUNK])
+        for k in range(CHUNK, inputs - rest, CHUNK):
+            acc = middle(row[k : k + CHUNK], b, columns[k : k + CHUNK], acc)
+        return last(row[-rest:], b, columns[-rest:], acc)
+
+    return kernel
 
 
 def _float_layers(net: ScalarInputNetwork) -> list[tuple[Kernel, list[list[float]], list[float]]]:
@@ -99,13 +132,14 @@ def _float_forward(
 
     ``layers`` comes from ``_float_layers``; the result is one value list per
     output. The pass runs one layer at a time over the whole block, and each
-    row of a layer is one generated list pass (``_row_kernel``). Every value
-    gets the float operations a pass at a single point would make, in the
-    same order: the weighted inputs added left to right, then the bias, then
-    relu on hidden units. So, for any block size, the values must be
-    bit-identical to a pass that evaluates one point at a time and adds each
-    weighted sum left to right (not with ``sum``, which compensates floats
-    from Python 3.12). That pass starts its total at the integer 0, and
+    row of a layer is one generated list pass (``_row_kernel``; one per
+    ``CHUNK`` of its inputs on a wider row). Every value gets the float
+    operations a pass at a single point would make, in the same order: the
+    weighted inputs added left to right, then the bias, then relu on hidden
+    units. So, for any block size, the values must be bit-identical to a
+    pass that evaluates one point at a time and adds each weighted sum left
+    to right (not with ``sum``, which compensates floats from Python 3.12).
+    That pass starts its total at the integer 0, and
     ``0 + w0*v0`` differs from ``w0*v0`` only in the sign of a zero, which
     adding the bias, never -0.0, removes. ``reference_outputs`` in
     ``tests/test_verify.py`` is that pass, and the tests compare the two.
@@ -143,25 +177,27 @@ def detect_knots_by_sampling(
     A grid cell is flagged when, on any output, the discrete second difference
     exceeds ``SLOPE_CHANGE_TOLERANCE`` times that output's largest magnitude
     on the grid; runs of adjacent flagged cells (one knot usually straddles
-    two) merge into a single detection at their midpoint. Detection is complete only when true
-    knots are separated by more than three grid steps: a knot inside a grid
-    cell flags the points at both ends of the cell, and two knots' flags
-    merge unless an unflagged point lies between them. A knot on an end
-    point of the interval is never detected: second differences are taken
-    only at interior grid points.
+    two) merge into a single detection at their midpoint. Detection is
+    complete only when true knots are separated by more than
+    ``SEPARATION_STEPS``, three, grid steps: a knot inside a grid cell flags
+    the points at both ends of the cell, and two knots' flags merge unless
+    an unflagged point lies between them. A knot on an end point of the
+    interval is never detected: second differences are taken only at
+    interior grid points.
 
     The grid points come from ``_grid_points``; each is one correctly
     rounded int division. The network runs over blocks of ``BLOCK`` of them,
     one layer at a time (``_float_forward``), and each row of a layer is one
-    list pass generated for the row's input count (``_row_kernel``). The
-    kernels are built once per call, one per input count and activation. A
-    row's pass makes the float operations of a pass at one point, in the
-    same order: the weighted inputs added left to right, then the bias, then
-    relu on hidden rows. So the values are bit-identical to a pass that handles
-    one point at a time, and the detections do not depend on the blocks; the
-    per-sample ``reference_outputs`` in ``tests/test_verify.py`` is the
-    check. Only each output's values over the grid are kept, because its
-    threshold needs its largest magnitude.
+    list pass generated for the row's input count (``_row_kernel``; one per
+    ``CHUNK`` of its inputs on a wider row). The kernels are built once per
+    call, one per input count and activation. A row's passes make the float
+    operations of a pass at one point, in the same order: the weighted
+    inputs added left to right, then the bias, then relu on hidden rows. So
+    the values are bit-identical to a pass that handles one point at a time,
+    and the detections do not depend on the blocks; the per-sample
+    ``reference_outputs`` in ``tests/test_verify.py`` is the check. Only each
+    output's values over the grid are kept, because its threshold needs its
+    largest magnitude.
     """
     # imported here: the array extension adds about 0.2 MB of resident
     # memory to every process that imports the package, and only this uses it
@@ -199,10 +235,11 @@ class AgreementReport:
 
     ``exact`` holds the exact knots strictly inside the sampled interval;
     the ``exact_outside_interval`` others, those on its end points included,
-    are not compared. ``crowded`` counts the exact knots within three grid
-    steps of a neighbour, which the grid cannot separate, and
-    ``smallest_gap`` is the least distance between two exact knots (None
-    with fewer than two).
+    are not compared. ``crowded`` counts the exact knots within
+    ``SEPARATION_STEPS`` grid steps of a neighbour, which the grid cannot
+    separate. ``smallest_gap`` is the least distance between two exact knots
+    (None with fewer than two), and ``separating_samples`` the fewest samples
+    whose grid separates every exact knot (None above ``SAMPLE_LIMIT``).
     """
 
     detected: tuple[float, ...]
@@ -213,6 +250,7 @@ class AgreementReport:
     agree: bool
     crowded: int
     smallest_gap: Rational | None
+    separating_samples: int | None
 
     def summary(self) -> str:
         status = "agree" if self.agree else "MISMATCH"
@@ -246,8 +284,14 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
         max_error = max(errors)
         agree = max_error <= cfg.grid_step
     gaps = [b - a for a, b in zip(exact, exact[1:])]
-    three_steps = 3 * (high - low) / (cfg.samples - 1)
-    close = [gap <= three_steps for gap in gaps]
+    smallest_gap = min(gaps, default=None)
+    steps = SEPARATION_STEPS * (high - low) / (cfg.samples - 1)
+    close = [gap <= steps for gap in gaps]
+    separating = 3  # the fewest samples that form a second difference
+    if smallest_gap is not None:
+        # the fewest n whose step (high - low) / (n - 1) is below the gap
+        # divided by SEPARATION_STEPS
+        separating = int(SEPARATION_STEPS * (high - low) // smallest_gap) + 2
     return AgreementReport(
         detected=detected,
         exact=exact,
@@ -256,7 +300,8 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
         max_location_error=max_error,
         agree=agree,
         crowded=sum(left or right for left, right in zip([False, *close], [*close, False])),
-        smallest_gap=min(gaps, default=None),
+        smallest_gap=smallest_gap,
+        separating_samples=separating if separating <= SAMPLE_LIMIT else None,
     )
 
 

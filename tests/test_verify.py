@@ -107,6 +107,21 @@ def seeded_networks() -> list[ScalarInputNetwork]:
     return nets
 
 
+def zero_heavy_network(seed: int, widths: tuple[int, ...]) -> ScalarInputNetwork:
+    """Seeded network of the given hidden widths and 2 outputs, with about
+    one weight and one bias in three zero."""
+    rng = random.Random(seed)
+
+    def value() -> Q:
+        return Q(0) if rng.random() < 1 / 3 else Q(rng.randint(-30, 30), rng.randint(1, 7))
+
+    shapes = zip([*widths, 2], [1, *widths])
+    return to_network(
+        [([[value() for _ in range(cols)] for _ in range(rows)], [value() for _ in range(rows)])
+         for rows, cols in shapes]
+    )
+
+
 ODD_INTERVALS = [(Q(-7, 3), Q(11, 5)), (Q(-5), Q(3, 7)), (Q(1, 9), Q(13, 3))]
 
 
@@ -176,7 +191,9 @@ class TestBlockPass:
 
     def test_block_values_are_bit_identical(self):
         xs = [float(Q(-7, 3) + Q(i, 97)) for i in range(433)]
-        for net in seeded_networks():
+        # rows of every input count from 1 to 9, with and without relu
+        arities = [zero_heavy_network(k, (k, k)) for k in range(1, 10)]
+        for net in [*seeded_networks(), *arities, build_tight_network(Architecture((8, 8, 8)))]:
             assert_bit_identical(net, xs)
 
     @settings(max_examples=60, deadline=None)
@@ -186,27 +203,12 @@ class TestBlockPass:
         xs = _grid_points(SamplingConfig((Q(-7, 3), Q(11, 5)), samples=BLOCK + 1), 0, points)
         assert_bit_identical(to_network(layers), xs)
 
-    @pytest.mark.parametrize("inputs", range(1, 10))
-    @pytest.mark.parametrize("points", [1, 5, BLOCK])
-    def test_every_row_arity_is_bit_identical(self, inputs, points):
-        # kernels of 1 input (the first layer) and of `inputs` inputs, with
-        # and without relu; about one weight and one bias in three are zero
-        rng = random.Random(inputs)
-
-        def layer(rows, cols):
-            def value():
-                return Q(0) if rng.random() < 1 / 3 else Q(rng.randint(-30, 30), rng.randint(1, 7))
-
-            return [[value() for _ in range(cols)] for _ in range(rows)], [value() for _ in range(rows)]
-
-        net = to_network([layer(inputs, 1), layer(inputs, inputs), layer(2, inputs)])
-        xs = _grid_points(SamplingConfig((Q(-5), Q(3, 7)), samples=BLOCK + 1), 0, points)
-        assert_bit_identical(net, xs)
-
-    @pytest.mark.parametrize("points", [1, 5, BLOCK])
-    def test_built_network_is_bit_identical(self, points):
-        net = build_tight_network(Architecture((8, 8, 8)))
-        assert_bit_identical(net, _grid_points(SamplingConfig((Q(-1), Q(8))), 49_000, 49_000 + points))
+    @pytest.mark.parametrize("widths", [(64, 3), (5000, 3), (5000,)], ids=["64-3", "5000-3", "5000"])
+    def test_rows_wider_than_a_chunk_are_bit_identical(self, widths):
+        # one expression of 5,000 terms nests too deeply for the compiler;
+        # the kernel sums such a row one chunk of inputs at a time
+        xs = _grid_points(SamplingConfig((Q(-5), Q(3, 7)), samples=BLOCK + 1), 0, 5)
+        assert_bit_identical(zero_heavy_network(sum(widths), widths), xs)
 
     @pytest.mark.parametrize("interval", ODD_INTERVALS)
     def test_integer_grid_is_the_rounded_fraction_grid(self, interval):
