@@ -2,7 +2,6 @@
 
 from .bounds import (
     Architecture,
-    Tightness,
     approx_bound,
     bound_prefixes,
     knot_bound,
@@ -57,7 +56,6 @@ __all__ = [
     "ScalarInputNetwork",
     "SchemaError",
     "StressReport",
-    "Tightness",
     "approx_bound",
     "as_rational",
     "bound_prefixes",

@@ -15,18 +15,10 @@ region that has no knot.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
-
-
-class Tightness(enum.Enum):
-    """Whether the bound is attainable for a given architecture."""
-
-    TIGHT = "tight"
-    NOT_TIGHT = "not_tight"
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,28 +71,27 @@ def param_count(arch: Architecture) -> int:
     return total
 
 
-def tightness_eligibility(arch: Architecture) -> tuple[Tightness, str | None]:
-    """Whether some network of this shape attains the exact bound, and if
-    not, the reason.
+def tightness_eligibility(arch: Architecture) -> str | None:
+    """Why no network of this shape attains the exact bound, or None when
+    some network does.
 
     One hidden layer is always attainable: distinct knot locations suffice.
     Deeper networks need every non-final layer to support a sawtooth (width
     at least 3) and a final layer that can both keep and create knots (width
-    at least 2). The reason names the first layer that falls short, and it
-    is None exactly when the verdict is TIGHT.
+    at least 2). The reason names the first layer that falls short.
     """
     *early, last = arch.widths
     if not early:
-        return Tightness.TIGHT, None
+        return None
     for i, n in enumerate(early, start=1):
         if n < 3:
-            return Tightness.NOT_TIGHT, (
+            return (
                 f"layer {i} has width {n} < 3: no affine combination of fewer than "
                 "three units can alternate slope signs across every piece"
             )
     if last == 1:
-        return Tightness.NOT_TIGHT, (
+        return (
             "final layer has width 1: a single unit cannot keep all incoming knots "
             "while also creating new ones"
         )
-    return Tightness.TIGHT, None
+    return None

@@ -12,8 +12,7 @@ of more than 100,000 knots; an ``analyze`` or ``verify`` of a network with
 a hidden layer of more than 100,000 knots, refused during extraction; and
 an input too large for memory, with one ``error: out of memory`` line and
 no traceback), 3 unattainable architecture, 4 oracle mismatch, 5 wrong
-depth. The RELU_KNOTS_SEED environment variable sets the default seed; an
-explicit --seed wins.
+depth.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import re
 import sys
@@ -110,18 +108,6 @@ def write_spline_csv(trace: ExtractionTrace, path: str | Path) -> None:
             )
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("RELU_KNOTS_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ValueError(f"RELU_KNOTS_SEED must be an integer, got {env!r}") from exc
-
-
 class _CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
@@ -146,7 +132,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "per_layer_bounds": bound_prefixes(arch),
         "approx_bound": approx_bound(arch),
         "param_count": param_count(arch),
-        "tightness": tightness_eligibility(arch)[0].value,
+        "tightness": "tight" if tightness_eligibility(arch) is None else "not_tight",
     }
     if args.json:
         print(json.dumps(report, indent=2))
@@ -162,7 +148,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     arch = Architecture(args.widths, output_dim=args.p)
-    _, reason = tightness_eligibility(arch)
+    reason = tightness_eligibility(arch)
     if reason is not None:
         raise _CliError(
             f"cannot attain the bound for widths {list(arch.widths)}: {reason}",
@@ -200,7 +186,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "output_knot_count": len(output_knots),
         "bound": bound,
         "meets_bound": len(output_knots) == bound,
-        "tightness": tightness_eligibility(arch)[0].value,
+        "tightness": "tight" if tightness_eligibility(arch) is None else "not_tight",
     }
     if args.layers:
         payload["per_layer_knots"] = [
@@ -226,13 +212,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     net = _load(args.network)
-    seed = _resolve_seed(args)
     interval = (-1, net.widths[0])
     if args.interval:
         interval = tuple(parse_rational(s) for s in args.interval)
     cfg = SamplingConfig(interval, samples=args.samples)
-    if args.trials < 0:  # before the oracle, which takes most of the run
-        raise ValueError(f"trials must be non-negative, got {args.trials}")
+    # before the oracle, which takes most of the run, so bad trials fail fast
+    stress = stress_bound(net.architecture, args.trials, args.seed) if args.trials else None
     low, high = cfg.interval
     agreement = oracle_agreement(net, cfg)
     payload: dict = {
@@ -246,8 +231,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "agree": agreement.agree,
         "crowded": agreement.crowded,
     }
-    if args.trials:
-        stress = stress_bound(net.architecture, args.trials, seed)
+    if stress is not None:
         payload["stress"] = {
             "trials": stress.trials,
             "seed": stress.seed,
@@ -260,7 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(agreement.summary())
-        if args.trials:
+        if stress is not None:
             stress_info = payload["stress"]
             print(
                 f"stress: max observed {stress_info['max_observed']} of bound "
@@ -303,8 +287,7 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
             EXIT_DEPTH,
         )
     form = to_forward_facing(net)
-    seed = _resolve_seed(args)
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     points = [Rational(rng.randint(-1000, 1000), rng.randint(1, 100)) for _ in range(100)]
     matched = all(evaluate(net, x) == eval_canonical(form, x) for x in points)
     payload = {
@@ -313,7 +296,7 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
         "line_slope": [format_rational(c) for c in form.line_slope],
         "line_intercept": [format_rational(c) for c in form.line_intercept],
         "folded_units": list(form.folded_units),
-        "equivalence_check": {"points": len(points), "seed": seed, "matched": matched},
+        "equivalence_check": {"points": len(points), "seed": args.seed, "matched": matched},
     }
     print(json.dumps(payload, indent=2))
     if not matched:
@@ -359,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sampling interval as rationals (default: -1 to first-layer width)",
     )
     p_verify.add_argument("--trials", type=int, default=0, help="also stress-search this many random networks")
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(handler=cmd_verify)
 
@@ -367,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         "canonicalize", help="forward-facing form of a one-hidden-layer network"
     )
     p_canon.add_argument("network", help="network JSON file")
-    p_canon.add_argument("--seed", type=int, default=None)
+    p_canon.add_argument("--seed", type=int, default=0)
     p_canon.set_defaults(handler=cmd_canonicalize)
 
     return parser

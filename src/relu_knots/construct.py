@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import Architecture, knot_bound, recurrence_step, tightness_eligibility
+from .bounds import Architecture, knot_bound, tightness_eligibility
 from .network import DenseLayer, ScalarInputNetwork, extract
 from .rational import Rational, RationalLike, as_rational
 
@@ -33,13 +33,11 @@ class SawtoothWitness:
     """Combination weights certifying which mix of a layer's units is a sawtooth.
 
     ``combination_weights[j]`` multiplies unit j of the layer just built;
-    ``expected_knots`` is the knot count that combination must show, equal to
-    the architectural bound for the layers built so far; ``oscillation_range``
-    is its exact (min, max) over the knots.
+    ``oscillation_range`` is that combination's exact (min, max) over its
+    knots.
     """
 
     combination_weights: tuple[Rational, ...]
-    expected_knots: int
     oscillation_range: tuple[Rational, Rational]
 
     def __post_init__(self) -> None:
@@ -80,7 +78,7 @@ def build_first_layer_sawtooth(n1: int) -> tuple[DenseLayer, SawtoothWitness]:
     weights = tuple((-1,) if j == 3 else (1,) for j in range(1, n1 + 1))
     biases = tuple(j - 1 if j == 3 else -(j - 1) for j in range(1, n1 + 1))
     alphas = tuple(2 * a for a in _alternating_weights(n1))
-    witness = SawtoothWitness(alphas, n1, _FIRST_RANGE)
+    witness = SawtoothWitness(alphas, _FIRST_RANGE)
     return DenseLayer(weights, biases), witness
 
 
@@ -110,9 +108,7 @@ def build_inductive_layer(
         weights.append(tuple(sign * a / span for a in prev.combination_weights))
         biases.append(-sign * (low / span + Rational(2 * k - 1, denom)))
     witness = SawtoothWitness(
-        tuple(_alternating_weights(n_i)),
-        recurrence_step(prev.expected_knots, n_i),
-        (Rational(4, denom), Rational(5, denom)),
+        tuple(_alternating_weights(n_i)), (Rational(4, denom), Rational(5, denom))
     )
     return DenseLayer(tuple(weights), tuple(biases)), witness
 
@@ -166,7 +162,7 @@ def _output_layer(n_last: int, p: int) -> DenseLayer:
 
 def build_tight_network(arch: Architecture) -> ScalarInputNetwork:
     """A network of the given shape whose outputs have exactly the bound's knots."""
-    _, reason = tightness_eligibility(arch)
+    reason = tightness_eligibility(arch)
     if reason is not None:
         raise ValueError(f"bound not attainable for widths {arch.widths}: {reason}")
 

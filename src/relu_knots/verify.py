@@ -11,11 +11,12 @@ search cannot prove nonexistence).
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .bounds import Architecture, Tightness, knot_bound, tightness_eligibility
+from .bounds import Architecture, knot_bound, tightness_eligibility
 from .network import DenseLayer, ScalarInputNetwork, extract
 from .rational import Rational, as_rational
 from .spline import LinearSpline
@@ -41,6 +42,21 @@ class SamplingConfig:
             raise ValueError("need at least 3 samples to form a second difference")
         if self.samples > SAMPLE_LIMIT:
             raise ValueError(f"samples must be at most {SAMPLE_LIMIT}, got {self.samples}")
+        try:
+            end = max(abs(float(low)), abs(float(high)))
+            step = self.grid_step
+        except OverflowError:
+            raise ValueError(
+                "interval does not fit in a float: its ends and its length must be "
+                "below 1.8e308"
+            ) from None
+        # float spacing only grows with magnitude, so above the spacing at the
+        # larger end every grid point rounds to a float of its own
+        if step <= math.ulp(end):
+            raise ValueError(
+                f"grid step {step:.3g} is not above the float spacing {math.ulp(end):.3g} "
+                f"at {end:.3g}: widen the interval or take fewer samples"
+            )
 
     @property
     def grid_step(self) -> float:
@@ -116,12 +132,17 @@ def _float_layers(net: ScalarInputNetwork) -> list[tuple[Kernel, list[list[float
     share one kernel."""
     kernels: dict[tuple[int, bool], Kernel] = {}
     layers = []
-    for layer in (*net.hidden_layers, net.output_layer):
+    for i, layer in enumerate((*net.hidden_layers, net.output_layer), start=1):
         key = (len(layer.weights[0]), layer is not net.output_layer)
         if key not in kernels:
             kernels[key] = _row_kernel(*key)
-        weights = [[float(w) for w in row] for row in layer.weights]
-        layers.append((kernels[key], weights, [float(b) for b in layer.biases]))
+        try:
+            weights = [[float(w) for w in row] for row in layer.weights]
+            biases = [float(b) for b in layer.biases]
+        except OverflowError:
+            name = f"hidden layer {i}" if key[1] else "output layer"
+            raise ValueError(f"{name} has a weight or bias too large for a float") from None
+        layers.append((kernels[key], weights, biases))
     return layers
 
 
@@ -214,7 +235,9 @@ def detect_knots_by_sampling(
     flagged = bytearray(n)
     for ys in outputs:
         threshold = SLOPE_CHANGE_TOLERANCE * max(map(abs, ys))
-        for i, (left, mid, right) in enumerate(zip(ys, ys[1:], ys[2:]), start=1):
+        # memoryview slices share the values; array slices would copy them
+        shifted = memoryview(ys)
+        for i, (left, mid, right) in enumerate(zip(ys, shifted[1:], shifted[2:]), start=1):
             if abs(right - 2.0 * mid + left) > threshold:
                 flagged[i] = 1
 
@@ -404,11 +427,11 @@ def stress_bound(arch: Architecture, trials: int, seed: int) -> StressReport:
                 f"(seed {seed}, trial {trial})"
             )
         max_observed = max(max_observed, count)
-    not_tight = tightness_eligibility(arch)[0] is Tightness.NOT_TIGHT
+    unattainable = tightness_eligibility(arch) is not None
     return StressReport(
         trials=trials,
         seed=seed,
         bound=bound,
         max_observed=max_observed,
-        gap=bound - max_observed if not_tight else None,
+        gap=bound - max_observed if unattainable else None,
     )

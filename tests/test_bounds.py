@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from relu_knots import (
     Architecture,
-    Tightness,
     approx_bound,
     bound_prefixes,
     knot_bound,
@@ -76,33 +75,29 @@ class TestParamCount:
 
 class TestTightness:
     def test_reference_is_tight(self):
-        assert tightness_eligibility(Architecture((6, 3, 2))) == (Tightness.TIGHT, None)
+        assert tightness_eligibility(Architecture((6, 3, 2))) is None
 
     def test_narrow_early_layer_is_not(self):
-        verdict, _ = tightness_eligibility(Architecture((2, 5, 5)))
-        assert verdict is Tightness.NOT_TIGHT
+        assert tightness_eligibility(Architecture((2, 5, 5))) is not None
 
     def test_single_layer_always_tight(self):
         for n in (1, 2, 4):
-            assert tightness_eligibility(Architecture((n,))) == (Tightness.TIGHT, None)
+            assert tightness_eligibility(Architecture((n,))) is None
 
     def test_unit_final_layer_is_not(self):
-        verdict, _ = tightness_eligibility(Architecture((3, 1)))
-        assert verdict is Tightness.NOT_TIGHT
+        assert tightness_eligibility(Architecture((3, 1))) is not None
 
-    def test_verdict_is_tight_exactly_when_no_reason(self):
+    def test_no_reason_exactly_when_the_sawtooth_fits(self):
         rng = random.Random(0)
         for _ in range(500):
             widths = tuple(rng.randint(1, 6) for _ in range(rng.randint(2, 5)))
-            verdict, reason = tightness_eligibility(Architecture(widths))
-            assert (verdict is Tightness.TIGHT) == (reason is None), widths
             sawtooth_fits = all(n >= 3 for n in widths[:-1]) and widths[-1] >= 2
-            assert (verdict is Tightness.TIGHT) == sawtooth_fits, widths
+            assert (tightness_eligibility(Architecture(widths)) is None) == sawtooth_fits, widths
 
     def test_reason_names_the_offending_layer(self):
-        _, reason = tightness_eligibility(Architecture((2, 5)))
+        reason = tightness_eligibility(Architecture((2, 5)))
         assert reason is not None and "layer 1" in reason and "2" in reason
-        _, reason = tightness_eligibility(Architecture((3, 3, 1)))
+        reason = tightness_eligibility(Architecture((3, 3, 1)))
         assert reason is not None and "final layer" in reason
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     network_layers,
@@ -25,6 +26,7 @@ from relu_knots import (
     ScalarInputNetwork,
     evaluate,
     extract,
+    format_rational,
     load_network,
     parse_rational,
     save_network,
@@ -383,6 +385,13 @@ class TestSplineCsv:
         assert calls == []
 
 
+BIG = 10**400
+OVERFLOW = "interval does not fit in a float: its ends and its length must be below 1.8e308"
+# numerators and denominators up to 10^400: ends beyond the float range,
+# ends that round to 0, and ends closer than the floats between them
+HUGE_RATIONALS = st.builds(Q, st.integers(-BIG, BIG), st.integers(1, BIG))
+
+
 class TestVerify:
     def test_agreement_on_built_network(self, tmp_path, capsys):
         out_file = tmp_path / "net.json"
@@ -483,6 +492,46 @@ class TestVerify:
         assert main(["verify", shallow_file, "--samples", "1001", "--trials", "-3"]) == 2
         assert capsys.readouterr().err == "error: trials must be non-negative, got -3\n"
 
+    @pytest.mark.parametrize(
+        "weight, bias, interval, samples, message",
+        [
+            (1, 0, ["0", str(BIG)], 5, OVERFLOW),
+            (1, 0, [f"-1/{BIG}", f"1/{BIG}"], 5, "grid step 0 is not above the float "
+             "spacing 4.94e-324 at 0: widen the interval or take fewer samples"),
+            # the knot is at 1 + 10^-21, and every grid point rounds to 1.0
+            (1, -Q(10**21 + 1, 10**21), ["1", f"{10**21 + 2}/{10**21}"], 101, "grid step "
+             "2e-23 is not above the float spacing 2.22e-16 at 1: widen the interval or "
+             "take fewer samples"),
+            (BIG, 0, None, 5, "hidden layer 1 has a weight or bias too large for a float"),
+        ],
+        ids=["end-overflows", "ends-round-to-zero", "step-below-float-spacing", "huge-weight"],
+    )
+    def test_input_a_float_cannot_hold_exits_2(
+        self, tmp_path, capsys, weight, bias, interval, samples, message
+    ):
+        path = tmp_path / "ramp.json"
+        save_network(to_network([([[weight]], [bias]), ([[1]], [0])]), path)
+        argv = ["verify", str(path), "--samples", str(samples)]
+        assert main(argv + (["--interval", *interval] if interval else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(low=HUGE_RATIONALS, width=HUGE_RATIONALS, samples=st.integers(3, 2000))
+    def test_any_interval_ends_cleanly(self, reference_file, capsys, low, width, samples):
+        # the high end is low + |width|: two ends drawn apart are out of
+        # order half the time, and almost never closer than a float step
+        high = low + abs(width)
+        argv = ["verify", reference_file, "--samples", str(samples)]
+        code = main(argv + ["--interval", format_rational(low), format_rational(high)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 4)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
     def test_layer_above_knot_limit_exits_2(self, reference_file, monkeypatch, capsys):
         monkeypatch.setattr(network, "KNOT_LIMIT", 50)
         assert main(["verify", reference_file, "--samples", "1001", "--json"]) == 2
@@ -581,20 +630,8 @@ class TestCanonicalize:
     def test_deep_network_exits_5(self, reference_file, capsys):
         assert main(["canonicalize", reference_file]) == 5
 
-    def test_env_seed_used(self, shallow_file, capsys, monkeypatch):
-        monkeypatch.setenv("RELU_KNOTS_SEED", "42")
-        main(["canonicalize", shallow_file])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["equivalence_check"]["seed"] == 42
-
-    def test_malformed_env_seed_exits_2(self, shallow_file, capsys, monkeypatch):
-        monkeypatch.setenv("RELU_KNOTS_SEED", "abc")
-        assert main(["canonicalize", shallow_file]) == 2
-        err = capsys.readouterr().err
-        assert err == "error: RELU_KNOTS_SEED must be an integer, got 'abc'\n"
-
-    def test_flag_beats_env(self, shallow_file, capsys, monkeypatch):
-        monkeypatch.setenv("RELU_KNOTS_SEED", "42")
-        main(["canonicalize", shallow_file, "--seed", "5"])
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["equivalence_check"]["seed"] == 5
+    def test_seed_flag_sets_the_seed(self, shallow_file, capsys):
+        for argv, seed in (([], 0), (["--seed", "5"], 5)):
+            assert main(["canonicalize", shallow_file, *argv]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["equivalence_check"]["seed"] == seed

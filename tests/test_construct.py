@@ -32,7 +32,6 @@ class TestFirstLayerSawtooth:
         wave = combination(witness, extract_layer(layer))
         assert wave.knots() == [Q(j) for j in range(8)]
         assert wave.piece_slopes() == [Q(-2)] + [Q(1) if i % 2 == 0 else Q(-1) for i in range(8)]
-        assert witness.expected_knots == 8
         assert check_sawtooth(wave).ok
 
     def test_six_units_matches_reference_layer(self):
@@ -83,11 +82,10 @@ def _apply(layer: DenseLayer, units):
 
 class TestInductiveLayer:
     def test_reference_second_layer(self):
-        _, witness = build_first_layer_sawtooth(6)
-        layer, new_witness = build_inductive_layer(witness, 3)
-        assert layer == example_tight_network().hidden_layers[1]
-        assert new_witness.expected_knots == 27
-        assert new_witness.oscillation_range == (Q(4, 7), Q(5, 7))
+        hidden, witness, units = build_prefix((6, 3))
+        assert hidden[1] == example_tight_network().hidden_layers[1]
+        assert len(combination(witness, units).knots()) == 27
+        assert witness.oscillation_range == (Q(4, 7), Q(5, 7))
 
     def test_knot_count_follows_recurrence(self):
         _, witness, units = build_prefix((6, 3))
@@ -133,7 +131,7 @@ class TestFinalLayer:
 
     def test_four_units_on_deeper_prefix(self):
         hidden, witness, units = build_prefix((3, 3))
-        assert witness.expected_knots == 15
+        assert len(combination(witness, units).knots()) == 15
         final = build_final_layer(witness, 4)
         final_units = _apply(final, units)
         assert len(knot_union(final_units)) == 79 == recurrence_step(15, 4)

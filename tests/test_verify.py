@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -145,6 +146,18 @@ class TestDetection:
         detections = detect_knots_by_sampling(ramp_net(), cfg)
         assert len(detections) == 1
         assert abs(detections[0]) <= cfg.grid_step
+
+    def test_scan_does_not_copy_the_values(self):
+        # the values take 0.8 MB; a scan that slices them copies them twice
+        samples = 100_001
+        tracemalloc.start()
+        try:
+            detections = detect_knots_by_sampling(ramp_net(), SamplingConfig((-1, 6), samples))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(detections) == 1
+        assert peak < 8 * samples + 1_000_000
 
     def test_constant_network_has_none(self):
         cfg = SamplingConfig((Q(-1), Q(1)), samples=1001)
