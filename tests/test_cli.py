@@ -386,7 +386,6 @@ class TestSplineCsv:
 
 
 BIG = 10**400
-OVERFLOW = "interval does not fit in a float: its ends and its length must be below 1.8e308"
 # numerators and denominators up to 10^400: ends beyond the float range,
 # ends that round to 0, and ends closer than the floats between them
 HUGE_RATIONALS = st.builds(Q, st.integers(-BIG, BIG), st.integers(1, BIG))
@@ -495,7 +494,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "weight, bias, interval, samples, message",
         [
-            (1, 0, ["0", str(BIG)], 5, OVERFLOW),
+            (1, 0, ["0", str(BIG)], 5, "interval does not fit in a float: its ends and "
+             "its length must be below 1.8e308"),
             (1, 0, [f"-1/{BIG}", f"1/{BIG}"], 5, "grid step 0 is not above the float "
              "spacing 4.94e-324 at 0: widen the interval or take fewer samples"),
             # the knot is at 1 + 10^-21, and every grid point rounds to 1.0
