@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import random
 import re
@@ -38,14 +39,7 @@ from .construct import build_tight_network
 from .jsonio import SchemaError, load_network, network_to_dict, save_network
 from .network import KNOT_LIMIT, ExtractionTrace, ScalarInputNetwork, evaluate, extract
 from .rational import Rational, decimal_str, format_ratio, format_rational, parse_rational
-from .verify import (
-    SAMPLE_LIMIT,
-    SEPARATION_STEPS,
-    AgreementReport,
-    SamplingConfig,
-    oracle_agreement,
-    stress_bound,
-)
+from .verify import SamplingConfig, oracle_agreement, stress_bound
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -174,7 +168,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     net = _load(args.network)
     trace = extract(net)
-    per_layer_knots, output_knots = trace.per_layer_knot_union, trace.output_knot_union()
+    per_layer_knots, output_knots = trace.per_layer_knot_union, trace.output_knots
     if args.csv:
         write_spline_csv(trace, args.csv)
     arch = net.architecture
@@ -222,61 +216,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
     agreement = oracle_agreement(net, cfg)
     payload: dict = {
         "interval": [format_rational(low), format_rational(high)],
-        "samples": args.samples,
+        "samples": cfg.samples,
         "detected": len(agreement.detected),
         "exact": len(agreement.exact),
         "exact_outside_interval": agreement.exact_outside_interval,
-        "grid_step": agreement.grid_step,
+        "grid_step": cfg.grid_step,
         "max_location_error": agreement.max_location_error,
         "agree": agreement.agree,
         "crowded": agreement.crowded,
     }
     if stress is not None:
-        payload["stress"] = {
-            "trials": stress.trials,
-            "seed": stress.seed,
-            "bound": stress.bound,
-            "max_observed": stress.max_observed,
-            "gap": stress.gap,
-            "note": stress.note,
-        }
+        payload["stress"] = dataclasses.asdict(stress)
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(agreement.summary())
         if stress is not None:
-            stress_info = payload["stress"]
             print(
-                f"stress: max observed {stress_info['max_observed']} of bound "
-                f"{stress_info['bound']} over {stress_info['trials']} trials "
-                f"(seed {stress_info['seed']})"
+                f"stress: max observed {stress.max_observed} of bound {stress.bound} "
+                f"over {stress.trials} trials (seed {stress.seed})"
             )
-            if stress_info["gap"] is not None:
-                print(
-                    f"gap {stress_info['gap']} below an unattainable bound "
-                    f"({stress_info['note']})"
-                )
-    if not agreement.agree:
-        raise _CliError(_mismatch_message(agreement), EXIT_MISMATCH)
+            if stress.gap is not None:
+                print(f"gap {stress.gap} below an unattainable bound ({stress.note})")
+    if not payload["agree"]:
+        raise _CliError(agreement.mismatch(), EXIT_MISMATCH)
     return EXIT_OK
-
-
-def _mismatch_message(agreement: AgreementReport) -> str:
-    """The exit-4 message, naming the sample count that separates the exact
-    knots when the grid is too coarse for them."""
-    message = "sampling oracle disagrees with exact extraction"
-    if len(agreement.detected) == len(agreement.exact) or not agreement.crowded:
-        return message
-    separates = (
-        f"no sample count up to the limit of {SAMPLE_LIMIT} separates them"
-        if agreement.separating_samples is None
-        else f"--samples {agreement.separating_samples} or more separates them"
-    )
-    return (
-        f"{message}: the grid is too coarse, the smallest gap between exact knots "
-        f"({float(agreement.smallest_gap):.3g}) is at most three grid steps "
-        f"({SEPARATION_STEPS * agreement.grid_step:.3g}); {separates}"
-    )
 
 
 def cmd_canonicalize(args: argparse.Namespace) -> int:

@@ -20,7 +20,7 @@ from .network import DenseLayer, ScalarInputNetwork, extract
 from .rational import Rational, RationalLike, as_rational
 
 # Output-layer magnification of the last sawtooth; any positive value works,
-# this one matches the bundled reference network.
+# and the tests pin the reference network built with this one.
 FINAL_LAYER_SCALE = 7
 
 # Heights of the first sawtooth's valleys and peaks, fixed by the first-layer
@@ -194,33 +194,5 @@ def build_tight_network(arch: Architecture) -> ScalarInputNetwork:
 
 
 def example_tight_network() -> ScalarInputNetwork:
-    """The bundled reference network: widths (6, 3, 2), two outputs, 83 knots.
-
-    Parameters are written out literally; the test suite checks they are
-    exactly what ``build_tight_network`` generates for this shape.
-    """
-    q = Rational
-    layer1 = DenseLayer(
-        weights=((q(1),), (q(1),), (q(-1),), (q(1),), (q(1),), (q(1),)),
-        biases=(q(0), q(-1), q(2), q(-3), q(-4), q(-5)),
-    )
-    layer2 = DenseLayer(
-        weights=(
-            (q(3), q(-2), q(2), q(-2), q(2), q(-2)),
-            (q(3), q(-2), q(2), q(-2), q(2), q(-2)),
-            (q(-3), q(2), q(-2), q(2), q(-2), q(2)),
-        ),
-        biases=(q(-29, 7), q(-31, 7), q(33, 7)),
-    )
-    layer3 = DenseLayer(
-        weights=(
-            (q(21, 2), q(-7), q(7)),
-            (q(-21, 2), q(7), q(-7)),
-        ),
-        biases=(q(-13, 3), q(14, 3)),
-    )
-    output = DenseLayer(
-        weights=((q(1), q(-1)), (q(-1), q(1))),
-        biases=(q(0), q(1)),
-    )
-    return ScalarInputNetwork((layer1, layer2, layer3), output)
+    """The bundled reference network: widths (6, 3, 2), two outputs, 83 knots."""
+    return build_tight_network(Architecture((6, 3, 2), output_dim=2))

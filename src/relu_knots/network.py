@@ -154,20 +154,27 @@ _Unit = tuple[int, int, list[int], list[int]]
 
 @dataclass(frozen=True, slots=True)
 class ExtractionTrace:
-    """The outputs, the knot union U_i of every hidden layer, and the union
-    of the outputs' knots.
+    """The outputs and the knot union U_i of every hidden layer.
 
     Each output is ``(slope, intercept, knots, jumps)`` in ints: the initial
     slope, the initial intercept and the slope jump at each knot, all over
     ``denominator``, and the knots as ascending indices into
     ``per_layer_knot_union[-1]``. Every jump is nonzero. On each piece the
-    output is (S*x + c)/denominator with int S and c (see ``_relu``).
+    output is (S*x + c)/denominator with int S and c (see ``_relu``). The
+    union of the outputs' knots, ``output_knots``, is read off those
+    indices.
     """
 
     outputs: tuple[_Unit, ...]
     denominator: int
     per_layer_knot_union: tuple[tuple[Rational, ...], ...]
-    output_knots: tuple[Rational, ...]
+
+    @property
+    def output_knots(self) -> tuple[Rational, ...]:
+        """The sorted union of the outputs' knots, built on each read."""
+        grid = self.per_layer_knot_union[-1]
+        used = {k for _, _, knots, _ in self.outputs for k in knots}
+        return tuple(grid[k] for k in sorted(used))
 
     @property
     def output_splines(self) -> tuple[LinearSpline, ...]:
@@ -303,8 +310,7 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
 
     The input is the line x on an empty grid. Each hidden layer combines the
     units below in integers, applies relu, and moves to a new grid; outputs
-    are affine combinations without relu, and the union of their knots is
-    read off the final grid by index. The result agrees with ``evaluate``
+    are affine combinations without relu. The result agrees with ``evaluate``
     at every point. A hidden layer of more than ``KNOT_LIMIT`` knots raises
     ``ValueError``.
     """
@@ -331,9 +337,4 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
         unions.append(tuple(grid))
     lcd, rows, biases = net.output_layer.integer_form()
     outputs = tuple(_combine(row, units, b * den) for row, b in zip(rows, biases))
-    return ExtractionTrace(
-        outputs,
-        den * lcd,
-        tuple(unions),
-        tuple(grid[k] for k in sorted({k for _, _, knots, _ in outputs for k in knots})),
-    )
+    return ExtractionTrace(outputs, den * lcd, tuple(unions))

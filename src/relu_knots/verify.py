@@ -108,7 +108,7 @@ def _row_kernel(inputs: int, relu: bool) -> Kernel:
     compiler refuses an expression nested a few thousand levels deep, and
     each term of the sum is one level, so a wider row takes one pass per
     ``CHUNK`` of its inputs, each resuming from the running sums of the one
-    before. The additions keep their order, so the chunks change no value.
+    before.
     """
     if inputs <= CHUNK:
         return _list_pass(inputs, resume=False, finish=True, relu=relu)
@@ -206,19 +206,12 @@ def detect_knots_by_sampling(
     interval is never detected: second differences are taken only at
     interior grid points.
 
-    The grid points come from ``_grid_points``; each is one correctly
-    rounded int division. The network runs over blocks of ``BLOCK`` of them,
-    one layer at a time (``_float_forward``), and each row of a layer is one
-    list pass generated for the row's input count (``_row_kernel``; one per
-    ``CHUNK`` of its inputs on a wider row). The kernels are built once per
-    call, one per input count and activation. A row's passes make the float
-    operations of a pass at one point, in the same order: the weighted
-    inputs added left to right, then the bias, then relu on hidden rows. So
-    the values are bit-identical to a pass that handles one point at a time,
-    and the detections do not depend on the blocks; the per-sample
-    ``reference_outputs`` in ``tests/test_verify.py`` is the check. Only each
-    output's values over the grid are kept, because its threshold needs its
-    largest magnitude.
+    The network runs over blocks of ``BLOCK`` grid points
+    (``_grid_points``), one layer at a time (``_float_forward``, which says
+    why the blocks change no value). Only each output's values over the
+    grid are kept, because its threshold needs its largest magnitude. An
+    output with a value a float cannot hold raises ``ValueError``: no
+    threshold can be taken over it.
     """
     # imported here: the array extension adds about 0.2 MB of resident
     # memory to every process that imports the package, and only this uses it
@@ -233,7 +226,12 @@ def detect_knots_by_sampling(
             values.extend(block)
 
     flagged = bytearray(n)
-    for ys in outputs:
+    for k, ys in enumerate(outputs):
+        # the sum finds an inf or a nan in one pass (max skips a nan that is
+        # not first); only a sum that is not finite needs the value by value
+        # check, which tells an overflowed sum of finite values from them
+        if not math.isfinite(sum(ys)) and not all(map(math.isfinite, ys)):
+            raise ValueError(f"output {k} overflows a float on the sampling grid")
         threshold = SLOPE_CHANGE_TOLERANCE * max(map(abs, ys))
         # memoryview slices share the values; array slices would copy them
         shifted = memoryview(ys)
@@ -256,24 +254,48 @@ def detect_knots_by_sampling(
 class AgreementReport:
     """Sampling detections compared against exact extraction, knot by knot.
 
-    ``exact`` holds the exact knots strictly inside the sampled interval;
-    the ``exact_outside_interval`` others, those on its end points included,
-    are not compared. ``crowded`` counts the exact knots within
-    ``SEPARATION_STEPS`` grid steps of a neighbour, which the grid cannot
-    separate. ``smallest_gap`` is the least distance between two exact knots
-    (None with fewer than two), and ``separating_samples`` the fewest samples
-    whose grid separates every exact knot (None above ``SAMPLE_LIMIT``).
+    The report keeps what was observed: the grid (``config``), the
+    detections, the exact knots strictly inside the sampled interval, and
+    the count of the ``exact_outside_interval`` others, those on its end
+    points included, which are not compared. The verdict is derived from
+    them on each read.
     """
 
+    config: SamplingConfig
     detected: tuple[float, ...]
     exact: tuple[Rational, ...]
     exact_outside_interval: int
-    grid_step: float
-    max_location_error: float | None
-    agree: bool
-    crowded: int
-    smallest_gap: Rational | None
-    separating_samples: int | None
+
+    @property
+    def max_location_error(self) -> float | None:
+        """The largest distance from an exact knot to its detection; None
+        unless the counts match and are nonzero."""
+        if len(self.detected) != len(self.exact) or not self.exact:
+            return None
+        return max(abs(d - float(e)) for d, e in zip(self.detected, self.exact))
+
+    @property
+    def agree(self) -> bool:
+        """Every exact knot detected, each within one grid step."""
+        error = self.max_location_error
+        return len(self.detected) == len(self.exact) and (
+            error is None or error <= self.config.grid_step
+        )
+
+    def _gaps_and_steps(self) -> tuple[list[Rational], Rational]:
+        """The gaps between neighbouring exact knots, and ``SEPARATION_STEPS``
+        grid steps, exactly."""
+        low, high = self.config.interval
+        steps = SEPARATION_STEPS * (high - low) / (self.config.samples - 1)
+        return [b - a for a, b in zip(self.exact, self.exact[1:])], steps
+
+    @property
+    def crowded(self) -> int:
+        """The exact knots within ``SEPARATION_STEPS`` grid steps of a
+        neighbour, which the grid cannot separate."""
+        gaps, steps = self._gaps_and_steps()
+        close = [gap <= steps for gap in gaps]
+        return sum(left or right for left, right in zip([False, *close], [*close, False]))
 
     def summary(self) -> str:
         status = "agree" if self.agree else "MISMATCH"
@@ -285,7 +307,31 @@ class AgreementReport:
         )
         return (
             f"{status}: detected {len(self.detected)}, exact {len(self.exact)}"
-            f"{outside} (grid step {self.grid_step:.3g})"
+            f"{outside} (grid step {self.config.grid_step:.3g})"
+        )
+
+    def mismatch(self) -> str:
+        """The message of a disagreement. When the counts differ and two
+        exact knots are too close for the grid, it names their gap and the
+        fewest samples whose grid separates every exact knot."""
+        message = "sampling oracle disagrees with exact extraction"
+        gaps, steps = self._gaps_and_steps()
+        gap = min(gaps, default=None)
+        if len(self.detected) == len(self.exact) or gap is None or gap > steps:
+            return message
+        # the fewest n whose step (high - low) / (n - 1) is below the gap
+        # divided by SEPARATION_STEPS
+        low, high = self.config.interval
+        samples = int(SEPARATION_STEPS * (high - low) // gap) + 2
+        separates = (
+            f"--samples {samples} or more separates them"
+            if samples <= SAMPLE_LIMIT
+            else f"no sample count up to the limit of {SAMPLE_LIMIT} separates them"
+        )
+        return (
+            f"{message}: the grid is too coarse, the smallest gap between exact knots "
+            f"({float(gap):.3g}) is at most three grid steps "
+            f"({SEPARATION_STEPS * self.config.grid_step:.3g}); {separates}"
         )
 
 
@@ -297,35 +343,10 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
     end point.
     """
     low, high = cfg.interval
-    knots = extract(net).output_knot_union()
+    knots = extract(net).output_knots
     exact = tuple(x for x in knots if low < x < high)
     detected = tuple(detect_knots_by_sampling(net, cfg))
-    max_error: float | None = None
-    agree = len(detected) == len(exact)
-    if agree and exact:
-        errors = [abs(d - float(e)) for d, e in zip(detected, exact)]
-        max_error = max(errors)
-        agree = max_error <= cfg.grid_step
-    gaps = [b - a for a, b in zip(exact, exact[1:])]
-    smallest_gap = min(gaps, default=None)
-    steps = SEPARATION_STEPS * (high - low) / (cfg.samples - 1)
-    close = [gap <= steps for gap in gaps]
-    separating = 3  # the fewest samples that form a second difference
-    if smallest_gap is not None:
-        # the fewest n whose step (high - low) / (n - 1) is below the gap
-        # divided by SEPARATION_STEPS
-        separating = int(SEPARATION_STEPS * (high - low) // smallest_gap) + 2
-    return AgreementReport(
-        detected=detected,
-        exact=exact,
-        exact_outside_interval=len(knots) - len(exact),
-        grid_step=cfg.grid_step,
-        max_location_error=max_error,
-        agree=agree,
-        crowded=sum(left or right for left, right in zip([False, *close], [*close, False])),
-        smallest_gap=smallest_gap,
-        separating_samples=separating if separating <= SAMPLE_LIMIT else None,
-    )
+    return AgreementReport(cfg, detected, exact, len(knots) - len(exact))
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,7 +357,10 @@ class SawtoothVerdict:
     minima_equal: bool
     maxima_equal: bool
     oscillation_range: tuple[Rational, Rational]
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.alternating_slopes and self.minima_equal and self.maxima_equal
 
 
 def check_sawtooth(f: LinearSpline) -> SawtoothVerdict:
@@ -360,14 +384,11 @@ def check_sawtooth(f: LinearSpline) -> SawtoothVerdict:
         for v, left, right in zip(values, slopes, slopes[1:])
         if left > 0 > right
     ]
-    minima_equal = len(set(minima)) <= 1
-    maxima_equal = len(set(maxima)) <= 1
     return SawtoothVerdict(
         alternating_slopes=alternating,
-        minima_equal=minima_equal,
-        maxima_equal=maxima_equal,
+        minima_equal=len(set(minima)) <= 1,
+        maxima_equal=len(set(maxima)) <= 1,
         oscillation_range=f.knot_value_range(),
-        ok=alternating and minima_equal and maxima_equal,
     )
 
 
@@ -420,7 +441,7 @@ def stress_bound(arch: Architecture, trials: int, seed: int) -> StressReport:
     max_observed = 0
     for trial in range(trials):
         net = random_network(rng, arch)
-        count = len(extract(net).output_knot_union())
+        count = len(extract(net).output_knots)
         if count > bound:
             raise RuntimeError(
                 f"bound violated: {count} > {bound} for widths {arch.widths} "

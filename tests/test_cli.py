@@ -60,6 +60,25 @@ def shallow_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def narrow_file(tmp_path):
+    # widths (2, 2): the bound 8 is unattainable, and the network has 2 knots
+    path = tmp_path / "narrow.json"
+    path.write_text(
+        json.dumps(
+            {
+                "p": 1,
+                "hidden_layers": [
+                    {"weights": [["1"], ["2"]], "biases": ["0", "1"]},
+                    {"weights": [["1", "1"], ["1", "-1"]], "biases": ["0", "0"]},
+                ],
+                "output_layer": {"weights": [["1", "1"]], "biases": ["0"]},
+            }
+        )
+    )
+    return str(path)
+
+
 class TestBound:
     def test_reference_architecture(self, capsys):
         assert main(["bound", "6", "3", "2", "--p", "2"]) == 0
@@ -280,6 +299,19 @@ class TestAnalyzeCsv:
         assert payload["per_layer_knots"][0] == ["0", "1", "2", "3", "4", "5"]
         assert len(payload["output_knots"]) == 83
 
+    def test_layer_flag_text(self, narrow_file, capsys):
+        assert main(["analyze", narrow_file, "--layers"]) == 0
+        assert capsys.readouterr().out == (
+            "widths: 2 2   outputs: 1\n"
+            "per-layer knot counts: [2, 2]\n"
+            "output knots: 2\n"
+            "bound: 8   meets bound: False\n"
+            "tightness: not_tight\n"
+            "layer 1 knots: ['-1/2', '0']\n"
+            "layer 2 knots: ['-1/2', '0']\n"
+            "output knot locations: ['-1/2', '0']\n"
+        )
+
     def test_schema_violation_exits_2_with_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(
@@ -386,6 +418,14 @@ class TestSplineCsv:
 
 
 BIG = 10**400
+E200 = 10**200  # a float holds it, but not its square
+
+
+def one_ramp(weight, bias):
+    """Layers of relu(weight*x + bias), output unscaled."""
+    return [([[weight]], [bias]), ([[1]], [0])]
+
+
 # numerators and denominators up to 10^400: ends beyond the float range,
 # ends that round to 0, and ends closer than the floats between them
 HUGE_RATIONALS = st.builds(Q, st.integers(-BIG, BIG), st.integers(1, BIG))
@@ -401,40 +441,22 @@ class TestVerify:
         assert payload["agree"] is True
         assert payload["detected"] == payload["exact"] == 11
 
-    def test_stress_mode_reports_gap(self, shallow_file, tmp_path, capsys):
-        path = tmp_path / "narrow.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "p": 1,
-                    "hidden_layers": [
-                        {"weights": [["1"], ["2"]], "biases": ["0", "1"]},
-                        {"weights": [["1", "1"], ["1", "-1"]], "biases": ["0", "0"]},
-                    ],
-                    "output_layer": {"weights": [["1", "1"]], "biases": ["0"]},
-                }
-            )
-        )
-        assert (
-            main(
-                [
-                    "verify",
-                    str(path),
-                    "--samples",
-                    "5001",
-                    "--trials",
-                    "100",
-                    "--seed",
-                    "3",
-                    "--json",
-                ]
-            )
-            == 0
-        )
+    def test_stress_mode_reports_gap(self, narrow_file, capsys):
+        argv = ["verify", narrow_file, "--samples", "5001", "--trials", "100", "--seed", "3"]
+        assert main(argv + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["stress"]["bound"] == 8
         assert payload["stress"]["max_observed"] < 8
         assert payload["stress"]["gap"] >= 1
+
+    def test_stress_mode_text(self, narrow_file, capsys):
+        argv = ["verify", narrow_file, "--samples", "5001", "--trials", "100", "--seed", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "agree: detected 2, exact 2 (grid step 0.0006)\n"
+            "stress: max observed 6 of bound 8 over 100 trials (seed 3)\n"
+            "gap 2 below an unattainable bound (randomized search: evidence, not proof)\n"
+        )
 
     def test_corrupted_extraction_exits_4(self, reference_file, monkeypatch, capsys):
         import relu_knots.verify as verify_mod
@@ -448,7 +470,6 @@ class TestVerify:
             return dataclasses.replace(
                 trace,
                 outputs=((slope, intercept, knots[1:], jumps[1:]),),
-                output_knots=trace.output_knots[1:],
             )
 
         monkeypatch.setattr(verify_mod, "extract", lying_extract)
@@ -492,30 +513,52 @@ class TestVerify:
         assert capsys.readouterr().err == "error: trials must be non-negative, got -3\n"
 
     @pytest.mark.parametrize(
-        "weight, bias, interval, samples, message",
+        "layers, interval, samples, message",
         [
-            (1, 0, ["0", str(BIG)], 5, "interval does not fit in a float: its ends and "
-             "its length must be below 1.8e308"),
-            (1, 0, [f"-1/{BIG}", f"1/{BIG}"], 5, "grid step 0 is not above the float "
+            (one_ramp(1, 0), ["0", str(BIG)], 5, "interval does not fit in a float: its ends "
+             "and its length must be below 1.8e308"),
+            (one_ramp(1, 0), [f"-1/{BIG}", f"1/{BIG}"], 5, "grid step 0 is not above the float "
              "spacing 4.94e-324 at 0: widen the interval or take fewer samples"),
             # the knot is at 1 + 10^-21, and every grid point rounds to 1.0
-            (1, -Q(10**21 + 1, 10**21), ["1", f"{10**21 + 2}/{10**21}"], 101, "grid step "
-             "2e-23 is not above the float spacing 2.22e-16 at 1: widen the interval or "
+            (one_ramp(1, -Q(10**21 + 1, 10**21)), ["1", f"{10**21 + 2}/{10**21}"], 101, "grid "
+             "step 2e-23 is not above the float spacing 2.22e-16 at 1: widen the interval or "
              "take fewer samples"),
-            (BIG, 0, None, 5, "hidden layer 1 has a weight or bias too large for a float"),
+            (one_ramp(BIG, 0), None, 5, "hidden layer 1 has a weight or bias too large for a float"),
+            # every parameter fits in a float, but the second layer's values
+            # reach 10^400 on most of the grid
+            (
+                [([[E200], [E200]], [0, -E200]), ([[E200, E200]], [0]), ([[1]], [0])],
+                None,
+                1001,
+                "output 0 overflows a float on the sampling grid",
+            ),
         ],
-        ids=["end-overflows", "ends-round-to-zero", "step-below-float-spacing", "huge-weight"],
+        ids=[
+            "end-overflows",
+            "ends-round-to-zero",
+            "step-below-float-spacing",
+            "huge-weight",
+            "values-overflow",
+        ],
     )
     def test_input_a_float_cannot_hold_exits_2(
-        self, tmp_path, capsys, weight, bias, interval, samples, message
+        self, tmp_path, capsys, layers, interval, samples, message
     ):
-        path = tmp_path / "ramp.json"
-        save_network(to_network([([[weight]], [bias]), ([[1]], [0])]), path)
+        path = tmp_path / "net.json"
+        save_network(to_network(layers), path)
         argv = ["verify", str(path), "--samples", str(samples)]
         assert main(argv + (["--interval", *interval] if interval else [])) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_outputs_whose_sum_overflows_are_compared(self, tmp_path, capsys):
+        # relu(10^306 x) on [-1, 1]: every value fits in a float, their sum
+        # over the grid does not
+        path = tmp_path / "steep.json"
+        save_network(to_network(one_ramp(10**306, 0)), path)
+        assert main(["verify", str(path), "--samples", "1001"]) == 0
+        assert capsys.readouterr().out == "agree: detected 1, exact 1 (grid step 0.002)\n"
 
     @settings(
         max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

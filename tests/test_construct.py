@@ -8,6 +8,7 @@ from conftest import affine_combine, combination, knot_union, reference_unit_spl
 from relu_knots import (
     Architecture,
     DenseLayer,
+    ScalarInputNetwork,
     check_sawtooth,
     extract,
     recurrence_step,
@@ -20,6 +21,20 @@ from relu_knots.construct import (
     example_tight_network,
 )
 from relu_knots.spline import LinearSpline
+
+# The reference network, widths (6, 3, 2) with two outputs, written out: the
+# builders must give exactly these parameters.
+REFERENCE = ScalarInputNetwork(
+    (
+        DenseLayer(((1,), (1,), (-1,), (1,), (1,), (1,)), (0, -1, 2, -3, -4, -5)),
+        DenseLayer(
+            ((3, -2, 2, -2, 2, -2), (3, -2, 2, -2, 2, -2), (-3, 2, -2, 2, -2, 2)),
+            (Q(-29, 7), Q(-31, 7), Q(33, 7)),
+        ),
+        DenseLayer(((Q(21, 2), -7, 7), (Q(-21, 2), 7, -7)), (Q(-13, 3), Q(14, 3))),
+    ),
+    DenseLayer(((1, -1), (-1, 1)), (0, 1)),
+)
 
 
 def layer_splines(layer: DenseLayer) -> list[LinearSpline]:
@@ -36,8 +51,7 @@ class TestFirstLayerSawtooth:
 
     def test_six_units_matches_reference_layer(self):
         layer, witness = build_first_layer_sawtooth(6)
-        net = example_tight_network()
-        assert layer == net.hidden_layers[0]
+        assert layer == REFERENCE.hidden_layers[0]
         wave = combination(witness, extract_layer(layer))
         assert wave.knot_value_range() == (4, 5)
         assert witness.oscillation_range == (4, 5)
@@ -83,7 +97,7 @@ def _apply(layer: DenseLayer, units):
 class TestInductiveLayer:
     def test_reference_second_layer(self):
         hidden, witness, units = build_prefix((6, 3))
-        assert hidden[1] == example_tight_network().hidden_layers[1]
+        assert hidden[1] == REFERENCE.hidden_layers[1]
         assert len(combination(witness, units).knots()) == 27
         assert witness.oscillation_range == (Q(4, 7), Q(5, 7))
 
@@ -121,7 +135,7 @@ class TestFinalLayer:
         _, witness = build_first_layer_sawtooth(6)
         _, witness = build_inductive_layer(witness, 3)
         layer = build_final_layer(witness, 2)
-        assert layer == example_tight_network().hidden_layers[2]
+        assert layer == REFERENCE.hidden_layers[2]
 
     def test_two_units_achieve_recurrence(self):
         hidden, witness, units = build_prefix((5,))
@@ -145,7 +159,7 @@ class TestFinalLayer:
 class TestBuildTightNetwork:
     def test_reference_shape_reproduces_bundled_network(self):
         built = build_tight_network(Architecture((6, 3, 2), output_dim=2))
-        assert built == example_tight_network()
+        assert built == example_tight_network() == REFERENCE
 
     def test_single_layer_distinct_knots(self):
         net = build_tight_network(Architecture((5,)))

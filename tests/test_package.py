@@ -1,12 +1,13 @@
 """Package-level guards: the public names resolve, rationals have one home,
-and the benchmark in ``perfbench/`` still runs against the package and
-passes its own unit tests."""
+README's library snippet runs, and the benchmark in ``perfbench/`` still
+runs against the package and passes its own unit tests."""
 
 from __future__ import annotations
 
 import ast
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,15 @@ def test_only_rational_imports_fractions():
                 if top in importers:
                     importers[top].append(path.name)
     assert importers == {"fractions": ["rational.py"], "gmpy2": []}
+
+
+def test_readme_library_snippet_runs():
+    # the one python block of README.md runs as written, so it cannot drift
+    # from the package
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("workload", ["ladder", "random", "crosscheck"])
