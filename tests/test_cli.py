@@ -418,17 +418,15 @@ class TestSplineCsv:
 
 
 BIG = 10**400
+# numerators and denominators up to 10^400: ends beyond the float range,
+# ends that round to 0, and ends closer than the floats between them
+HUGE_RATIONALS = st.builds(Q, st.integers(-BIG, BIG), st.integers(1, BIG))
 E200 = 10**200  # a float holds it, but not its square
 
 
 def one_ramp(weight, bias):
     """Layers of relu(weight*x + bias), output unscaled."""
     return [([[weight]], [bias]), ([[1]], [0])]
-
-
-# numerators and denominators up to 10^400: ends beyond the float range,
-# ends that round to 0, and ends closer than the floats between them
-HUGE_RATIONALS = st.builds(Q, st.integers(-BIG, BIG), st.integers(1, BIG))
 
 
 class TestVerify:
