@@ -11,6 +11,7 @@ search cannot prove nonexistence).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections.abc import Callable
@@ -66,10 +67,9 @@ class SamplingConfig:
 
 BLOCK = 2048  # grid points per block of the float forward pass
 CHUNK = 32  # most inputs summed in one generated expression
-# kernel(row, b, columns): one row of a layer over the columns of a block
-Kernel = Callable[[list[float], float, list[list[float]]], list[float]]
 
 
+@functools.cache
 def _list_pass(inputs: int, resume: bool, finish: bool, relu: bool) -> Callable[..., list[float]]:
     """One list pass over ``zip`` of ``inputs`` columns of a block.
 
@@ -78,7 +78,8 @@ def _list_pass(inputs: int, resume: bool, finish: bool, relu: bool) -> Callable[
     of ``acc`` if ``resume``, and, if ``finish``, ended by ``+ b`` and relu
     on hidden rows. Python adds that expression left to right, as
     ``((a + w0*v0) + w1*v1) + ...``. The weights and the bias are
-    arguments, never text in the source.
+    arguments, never text in the source; ``inputs`` is at most ``CHUNK``, so
+    130 passes at most are cached. The relu keeps a nan for the output check.
     """
     ws = "".join(f"w{k}, " for k in range(inputs))
     cs = "".join(f"c{k}, " for k in range(inputs))
@@ -88,7 +89,7 @@ def _list_pass(inputs: int, resume: bool, finish: bool, relu: bool) -> Callable[
     if resume:
         terms, vs, zipped = ["a", *terms], "a, " + vs, "acc, " + cs
     value = " + ".join([*terms, "b"] if finish else terms)
-    item = f"p if (p := {value}) > 0.0 else 0.0" if finish and relu else value
+    item = f"0.0 if (p := {value}) <= 0.0 else p" if finish and relu else value
     source = (
         "def list_pass(row, b, columns, acc=None):\n"
         f"    {ws}= row\n"
@@ -100,7 +101,7 @@ def _list_pass(inputs: int, resume: bool, finish: bool, relu: bool) -> Callable[
     return namespace["list_pass"]
 
 
-def _row_kernel(inputs: int, relu: bool) -> Kernel:
+def _row_kernel(inputs: int, relu: bool) -> Callable[..., list[float]]:
     """The kernel of a row of ``inputs`` weights: its weighted inputs added
     left to right, then the bias, then relu on hidden rows.
 
@@ -126,48 +127,47 @@ def _row_kernel(inputs: int, relu: bool) -> Kernel:
     return kernel
 
 
-def _float_layers(net: ScalarInputNetwork) -> list[tuple[Kernel, list[list[float]], list[float]]]:
-    """Row kernel, float weights and float biases of every hidden layer, then
-    of the output layer. Layers with the same input count and activation
-    share one kernel."""
-    kernels: dict[tuple[int, bool], Kernel] = {}
+def _float_layers(net: ScalarInputNetwork) -> list[tuple[bool, list[list[float]], list[float]]]:
+    """Relu flag, float weights and float biases of each layer, the output layer last."""
     layers = []
     for i, layer in enumerate((*net.hidden_layers, net.output_layer), start=1):
-        key = (len(layer.weights[0]), layer is not net.output_layer)
-        if key not in kernels:
-            kernels[key] = _row_kernel(*key)
+        relu = layer is not net.output_layer
         try:
             weights = [[float(w) for w in row] for row in layer.weights]
             biases = [float(b) for b in layer.biases]
         except OverflowError:
-            name = f"hidden layer {i}" if key[1] else "output layer"
+            name = f"hidden layer {i}" if relu else "output layer"
             raise ValueError(f"{name} has a weight or bias too large for a float") from None
-        layers.append((kernels[key], weights, biases))
+        layers.append((relu, weights, biases))
     return layers
 
 
 def _float_forward(
-    layers: list[tuple[Kernel, list[list[float]], list[float]]], xs: list[float]
+    layers: list[tuple[bool, list[list[float]], list[float]]], xs: list[float]
 ) -> list[list[float]]:
     """Plain-float forward pass over one block of grid points.
 
     ``layers`` comes from ``_float_layers``; the result is one value list per
-    output. The pass runs one layer at a time over the whole block, and each
-    row of a layer is one generated list pass (``_row_kernel``; one per
-    ``CHUNK`` of its inputs on a wider row). Every value gets the float
-    operations a pass at a single point would make, in the same order: the
-    weighted inputs added left to right, then the bias, then relu on hidden
-    units. So, for any block size, the values must be bit-identical to a
-    pass that evaluates one point at a time and adds each weighted sum left
-    to right (not with ``sum``, which compensates floats from Python 3.12).
-    That pass starts its total at the integer 0, and
-    ``0 + w0*v0`` differs from ``w0*v0`` only in the sign of a zero, which
-    adding the bias, never -0.0, removes. ``reference_outputs`` in
-    ``tests/test_verify.py`` is that pass, and the tests compare the two.
+    output. Layer by layer, the pass drops the input columns that are 0.0 on
+    the whole block (keeping one if all are) and runs each row over the live
+    ones as one generated list pass (``_row_kernel``): the weighted inputs
+    added left to right, then the bias, then relu on hidden units. For any
+    block size, the values must be bit-identical to a pass that evaluates one
+    point at a time and adds every weighted input left to right from the
+    integer 0 (not with ``sum``, which compensates floats from Python 3.12).
+    Weights are finite (``_float_layers`` refuses the others), so a dead
+    column adds ``w*0.0``, a zero; a column holding an inf or a nan is live.
+    Adding a zero, like starting from 0, changes a total at most in the sign
+    of a zero, which adding the bias, never -0.0, removes.
+    ``reference_outputs`` in ``tests/test_verify.py`` is that pass, and the
+    tests compare the two.
     """
     signal = [xs]
-    for kernel, weights, biases in layers:
-        signal = [kernel(row, b, signal) for row, b in zip(weights, biases)]
+    for relu, weights, biases in layers:
+        live = [k for k, column in enumerate(signal) if any(column)] or [0]
+        kernel = _row_kernel(len(live), relu)
+        signal = [signal[k] for k in live]
+        signal = [kernel([row[k] for k in live], b, signal) for row, b in zip(weights, biases)]
     return signal
 
 

@@ -530,6 +530,14 @@ class TestVerify:
                 1001,
                 "output 0 overflows a float on the sampling grid",
             ),
+            # the constant 1, but the second hidden layer reaches inf twice
+            # for x > 0, and the third gets inf - inf, a nan, from them
+            (
+                [([[E200]], [0]), ([[E200], [E200]], [0, 0]), ([[1, -1]], [1]), ([[1]], [0])],
+                None,
+                1001,
+                "output 0 overflows a float on the sampling grid",
+            ),
         ],
         ids=[
             "end-overflows",
@@ -537,6 +545,7 @@ class TestVerify:
             "step-below-float-spacing",
             "huge-weight",
             "values-overflow",
+            "hidden-values-cancel",
         ],
     )
     def test_input_a_float_cannot_hold_exits_2(

@@ -21,10 +21,12 @@ from relu_knots import (
     knot_bound,
     stress_bound,
 )
+from relu_knots import verify
 from relu_knots.construct import build_first_layer_sawtooth, example_tight_network
 from relu_knots.spline import LinearSpline
 from relu_knots.verify import (
     BLOCK,
+    CHUNK,
     SAMPLE_LIMIT,
     SLOPE_CHANGE_TOLERANCE,
     _float_forward,
@@ -37,7 +39,8 @@ from relu_knots.verify import (
 
 def reference_outputs(net: ScalarInputNetwork, xs: list[float]) -> list[list[float]]:
     """The float forward pass one sample at a time, each weighted sum added
-    left to right from 0 (what ``sum`` does with floats before Python 3.12)."""
+    left to right from 0 (what ``sum`` does with floats before Python 3.12),
+    over every input, and a relu that keeps a nan."""
 
     def dot(row, signal):
         total = 0
@@ -55,7 +58,10 @@ def reference_outputs(net: ScalarInputNetwork, xs: list[float]) -> list[list[flo
     for x in xs:
         signal = [x]
         for weights, biases in layers:
-            signal = [max(0.0, dot(row, signal) + b) for row, b in zip(weights, biases)]
+            signal = [
+                0.0 if (p := dot(row, signal) + b) <= 0.0 else p
+                for row, b in zip(weights, biases)
+            ]
         for k, (row, b) in enumerate(zip(out_w, out_b)):
             outputs[k].append(dot(row, signal) + b)
     return outputs
@@ -97,6 +103,20 @@ def assert_bit_identical(net: ScalarInputNetwork, xs: list[float]) -> None:
     ]
 
 
+def kernel_inputs(monkeypatch) -> list[int]:
+    """The input counts ``_float_forward`` asks ``_row_kernel`` for, one per
+    layer and block, in order, from now on."""
+    counts: list[int] = []
+    row_kernel = verify._row_kernel
+
+    def recorded(inputs, relu):
+        counts.append(inputs)
+        return row_kernel(inputs, relu)
+
+    monkeypatch.setattr(verify, "_row_kernel", recorded)
+    return counts
+
+
 def seeded_networks() -> list[ScalarInputNetwork]:
     """Random networks of depth 1-3 and 1-3 outputs, knots spread over [-5, 5]."""
     rng = random.Random(20240)
@@ -124,6 +144,20 @@ def zero_heavy_network(seed: int, widths: tuple[int, ...]) -> ScalarInputNetwork
 
 
 ODD_INTERVALS = [(Q(-7, 3), Q(11, 5)), (Q(-5), Q(3, 7)), (Q(1, 9), Q(13, 3))]
+
+
+def dead_block_network() -> ScalarInputNetwork:
+    """Units that are zero on some blocks of [-5, 3/7] at 2*BLOCK + 7
+    samples and live on others, and one zero on all of them. The first
+    block ends near -2.29 and holds knots at -4 and -3, the second ends near
+    0.42 and holds knots at -1 and 0."""
+    return to_network(
+        [
+            ([[1], [-1], [1], [1], [-2]], [4, -3, 1, -1, 0]),
+            ([[1, 2, -3, 5, 1], [-2, 1, 1, 7, -1], [0, 0, 0, 1, 0]], [-1, Q(1, 2), 0]),
+            ([[1, -1, 3], [-2, 1, 1]], [0, Q(-1, 3)]),
+        ]
+    )
 
 
 def ramp_net() -> ScalarInputNetwork:
@@ -195,8 +229,10 @@ class TestBlockPass:
     @pytest.mark.parametrize("samples", [3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
     def test_detections_match_per_sample_reference(self, samples):
         found = 0
-        for k, net in enumerate(seeded_networks()):
-            cfg = SamplingConfig(ODD_INTERVALS[k % len(ODD_INTERVALS)], samples=samples)
+        nets = seeded_networks()
+        cases = [(net, ODD_INTERVALS[k % len(ODD_INTERVALS)]) for k, net in enumerate(nets)]
+        for net, interval in [*cases, (dead_block_network(), ODD_INTERVALS[1])]:
+            cfg = SamplingConfig(interval, samples=samples)
             detections = detect_knots_by_sampling(net, cfg)
             assert detections == reference_detections(net, cfg)
             found += len(detections)
@@ -210,11 +246,45 @@ class TestBlockPass:
             assert_bit_identical(net, xs)
 
     @settings(max_examples=60, deadline=None)
-    @given(layers=network_layers(max_width=9), points=st.sampled_from((1, 5, BLOCK)))
-    def test_drawn_rows_are_bit_identical(self, layers, points):
-        # rows of 1 to 9 inputs, with zero weights and biases drawn often
-        xs = _grid_points(SamplingConfig((Q(-7, 3), Q(11, 5)), samples=BLOCK + 1), 0, points)
+    @given(
+        layers=network_layers(max_width=9),
+        points=st.sampled_from((1, 5, BLOCK)),
+        interval=st.sampled_from([(Q(-7, 3), Q(11, 5)), (Q(90), Q(100)), (Q(-100), Q(-90))]),
+    )
+    def test_drawn_rows_are_bit_identical(self, layers, points, interval):
+        # rows of 1 to 9 inputs, with zero weights and biases drawn often;
+        # far out, most units are zero on the whole block
+        xs = _grid_points(SamplingConfig(interval, samples=BLOCK + 1), 0, points)
         assert_bit_identical(to_network(layers), xs)
+
+    def test_dead_column_is_bit_identical(self, monkeypatch):
+        # relu(x - 10) is zero on the block, and its weights multiply zeros
+        counts = kernel_inputs(monkeypatch)
+        net = to_network(
+            [
+                ([[1], [1], [-1]], [0, -10, 0]),
+                ([[1, -3, 2], [-1, 5, Q(1, 3)]], [Q(-1, 2), 0]),
+                ([[2, -1]], [Q(1, 7)]),
+            ]
+        )
+        assert_bit_identical(net, _grid_points(SamplingConfig((-3, 3), BLOCK + 1), 0, BLOCK))
+        assert counts == [1, 2, 2]
+
+    @pytest.mark.parametrize("bias", [Q(3, 2), Q(-3, 2), 0], ids=["positive", "negative", "zero"])
+    def test_dead_layer_is_bit_identical(self, monkeypatch, bias):
+        # both first-layer units are zero on the block, so the second layer
+        # runs over one zero column: relu(bias); with the negative bias and
+        # the zero one the output layer's inputs are all zero too
+        counts = kernel_inputs(monkeypatch)
+        net = to_network(
+            [
+                ([[1], [-1]], [-10, -10]),
+                ([[-1, 2], [2, -1]], [bias, bias]),
+                ([[-1, 2], [3, -5]], [0, Q(-1, 4)]),
+            ]
+        )
+        assert_bit_identical(net, _grid_points(SamplingConfig((-3, 3), BLOCK + 1), 0, BLOCK))
+        assert counts == [1, 1, 2 if bias > 0 else 1]
 
     @pytest.mark.parametrize("widths", [(64, 3), (5000, 3), (5000,)], ids=["64-3", "5000-3", "5000"])
     def test_rows_wider_than_a_chunk_are_bit_identical(self, widths):
@@ -222,6 +292,14 @@ class TestBlockPass:
         # the kernel sums such a row one chunk of inputs at a time
         xs = _grid_points(SamplingConfig((Q(-5), Q(3, 7)), samples=BLOCK + 1), 0, 5)
         assert_bit_identical(zero_heavy_network(sum(widths), widths), xs)
+
+    def test_live_columns_over_chunks_are_bit_identical(self, monkeypatch):
+        # 64 columns, of which more than a chunk but not a whole number of
+        # chunks are live on the block
+        counts = kernel_inputs(monkeypatch)
+        xs = _grid_points(SamplingConfig((Q(-5), Q(3, 7)), samples=BLOCK + 1), 0, BLOCK)
+        assert_bit_identical(zero_heavy_network(67, (64, 3)), xs)
+        assert CHUNK < counts[1] < 64 and counts[1] % CHUNK
 
     @pytest.mark.parametrize("interval", ODD_INTERVALS)
     def test_integer_grid_is_the_rounded_fraction_grid(self, interval):
@@ -232,6 +310,16 @@ class TestBlockPass:
             grid = [float(low + i * h) for i in range(samples)]
             assert _grid_points(cfg, 0, samples) == grid
             assert _grid_points(cfg, 1, samples - 1) == grid[1:-1]
+
+
+    def test_dead_columns_are_skipped(self, monkeypatch):
+        # on the first block of [-1, 6], from -1 to -0.857, only relu(2 - x)
+        # of the six first-layer units is live, then two of the three
+        # second-layer units and one of the two third-layer units
+        counts = kernel_inputs(monkeypatch)
+        cfg = SamplingConfig((-1, 6), samples=100_001)
+        assert len(detect_knots_by_sampling(example_tight_network(), cfg)) == 83
+        assert counts[:4] == [1, 1, 2, 1]
 
 
 class TestOracleReport:
