@@ -67,39 +67,37 @@ def write_spline_csv(trace: ExtractionTrace, path: str | Path) -> None:
     value at x = 0 in the value columns, so the CSV alone reconstructs the
     function everywhere.
 
-    The trace's outputs are walked in their ints: every piece is (S*x + c)/D
-    with int S and c over the trace's denominator D. At a knot p/q (reduced,
-    q > 0) the value is (S*p + c*q)/(q*D), and past it, with jump d/D, the
-    intercept is c - d*p/q, an exact division.
+    The trace's outputs and final grid are walked in their ints: every
+    piece is (S*x + c)/D with int S and c over the trace's denominator D.
+    At a knot p/q (reduced, q > 0) the value is (S*p + c*q)/(q*D), and past
+    it, with jump d/D, the intercept is c - d*p/q, an exact division.
     """
-    grid, den = trace.per_layer_knot_union[-1], trace.denominator
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
+    (nums, dens), den = trace.grids[-1], trace.denominator
+
+    def rows():
         for k, (slope, c, knots, jumps) in enumerate(trace.outputs):
             right = format_ratio(slope, den)
-            writer.writerow(
-                [k, "-inf", "-inf", format_ratio(c, den), decimal_str(c, den), right, right]
-            )
+            yield k, "-inf", "-inf", format_ratio(c, den), decimal_str(c, den), right, right
             for i, d in zip(knots, jumps):
-                p, q = grid[i].numerator, grid[i].denominator
+                p, q = nums[i], dens[i]
                 value, value_den = slope * p + c * q, q * den
                 left, slope, c = right, slope + d, c - d * p // q
                 right = format_ratio(slope, den)
-                writer.writerow(
-                    [
-                        k,
-                        format_ratio(p, q),
-                        decimal_str(p, q),
-                        format_ratio(value, value_den),
-                        decimal_str(value, value_den),
-                        left,
-                        right,
-                    ]
+                yield (
+                    k,
+                    format_ratio(p, q),
+                    decimal_str(p, q),
+                    format_ratio(value, value_den),
+                    decimal_str(value, value_den),
+                    left,
+                    right,
                 )
-            writer.writerow(
-                [k, "+inf", "inf", format_ratio(c, den), decimal_str(c, den), right, right]
-            )
+            yield k, "+inf", "inf", format_ratio(c, den), decimal_str(c, den), right, right
+
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(rows())
 
 
 class _CliError(Exception):
@@ -168,7 +166,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     net = _load(args.network)
     trace = extract(net)
-    per_layer_knots, output_knots = trace.per_layer_knot_union, trace.output_knots
+    grids, output_knots = trace.grids, trace.output_knot_indices
     if args.csv:
         write_spline_csv(trace, args.csv)
     arch = net.architecture
@@ -176,17 +174,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     payload = {
         "widths": list(net.widths),
         "p": net.output_dim,
-        "per_layer_knot_counts": [len(u) for u in per_layer_knots],
+        "per_layer_knot_counts": [len(nums) for nums, _ in grids],
         "output_knot_count": len(output_knots),
         "bound": bound,
         "meets_bound": len(output_knots) == bound,
         "tightness": "tight" if tightness_eligibility(arch) is None else "not_tight",
     }
     if args.layers:
-        payload["per_layer_knots"] = [
-            [format_rational(x) for x in layer] for layer in per_layer_knots
-        ]
-        payload["output_knots"] = [format_rational(x) for x in output_knots]
+        payload["per_layer_knots"] = [list(map(format_ratio, *grid)) for grid in grids]
+        nums, dens = grids[-1]
+        payload["output_knots"] = [format_ratio(nums[k], dens[k]) for k in output_knots]
     if args.json:
         print(json.dumps(payload, indent=2))
     else:

@@ -180,16 +180,12 @@ def build_tight_network(arch: Architecture) -> ScalarInputNetwork:
 
     expected = knot_bound(arch)
     trace = extract(net)
-    final_union = trace.per_layer_knot_union[-1]
+    count = len(trace.grids[-1][0])  # the points of the final grid
     for k, (_, _, knots, _) in enumerate(trace.outputs):
-        if len(knots) != len(final_union):  # distinct indices into final_union
-            raise RuntimeError(
-                f"output {k} cancelled a knot: {len(knots)} of {len(final_union)} kept"
-            )
-    if len(final_union) != expected:
-        raise RuntimeError(
-            f"construction produced {len(final_union)} knots, expected {expected}"
-        )
+        if len(knots) != count:  # distinct indices into the final grid
+            raise RuntimeError(f"output {k} cancelled a knot: {len(knots)} of {count} kept")
+    if count != expected:
+        raise RuntimeError(f"construction produced {count} knots, expected {expected}")
     return net
 
 

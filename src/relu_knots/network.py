@@ -11,17 +11,20 @@ root. So ``extract`` keeps one sorted grid per layer, the union U_i of its
 units' knots, and a unit is its knots as indices into that grid with
 integer slopes over one denominator per layer, D_i = L_1 ... L_i.
 
-ReLU asks one question at every knot of a unit: the sign of its value
-there. At a grid point p/q (reduced, q > 0) a layer-i value v gives an
-integer N = v*D_i*q, the numerator ``evaluate`` reaches at p/q over
-q*D_i. So ``_relu`` walks each unit's knots in ints, with an exact floor
-division per knot, and builds a rational only for a new root.
+A grid point is a reduced int pair (p, q), q > 0, standing for p/q. ReLU
+asks one question at every knot of a unit: the sign of its value there. At
+p/q a layer-i value v gives an integer N = v*D_i*q, the numerator
+``evaluate`` reaches at p/q over q*D_i. So ``_relu`` walks each unit's
+knots in ints, with an exact floor division per knot, and appends each new
+root as a reduced int pair; ``_regrid`` places the roots by cross-multiplying.
+The walk builds no rational: ``ExtractionTrace`` keeps the grids in ints
+and builds ``Fraction``s only when they are read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from math import gcd, lcm
 from operator import mul
 
 from .bounds import Architecture
@@ -151,40 +154,56 @@ def evaluate(net: ScalarInputNetwork, x: RationalLike) -> list[Rational]:
 # slope jumps at them (ints).
 _Unit = tuple[int, int, list[int], list[int]]
 
+# A layer's grid: the numerators and the denominators of its points p/q,
+# each reduced with q > 0, in ascending order of p/q.
+_Grid = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 @dataclass(frozen=True, slots=True)
 class ExtractionTrace:
-    """The outputs and the knot union U_i of every hidden layer.
+    """The outputs and the knot union U_i of every hidden layer, in ints.
 
-    Each output is ``(slope, intercept, knots, jumps)`` in ints: the initial
-    slope, the initial intercept and the slope jump at each knot, all over
-    ``denominator``, and the knots as ascending indices into
-    ``per_layer_knot_union[-1]``. Every jump is nonzero. On each piece the
-    output is (S*x + c)/denominator with int S and c (see ``_relu``). The
-    union of the outputs' knots, ``output_knots``, is read off those
-    indices.
+    ``grids[i - 1]`` is U_i as ``(nums, dens)``: its points nums[k]/dens[k],
+    reduced with positive denominators, ascending. Each output is
+    ``(slope, intercept, knots, jumps)``: the initial slope, the initial
+    intercept and the slope jump at each knot, all over ``denominator``,
+    and the knots as ascending indices into ``grids[-1]``. Every jump is
+    nonzero. On each piece the output is (S*x + c)/denominator with int S
+    and c (see ``_relu``). The properties ``per_layer_knot_union``,
+    ``output_knots`` and ``output_splines`` build rationals on each read.
     """
 
     outputs: tuple[_Unit, ...]
     denominator: int
-    per_layer_knot_union: tuple[tuple[Rational, ...], ...]
+    grids: tuple[_Grid, ...]
+
+    @property
+    def per_layer_knot_union(self) -> tuple[tuple[Rational, ...], ...]:
+        return tuple(tuple(map(Rational, *grid)) for grid in self.grids)
+
+    @property
+    def output_knot_indices(self) -> list[int]:
+        """The union of the outputs' knots, as ascending indices into
+        ``grids[-1]``."""
+        return sorted({k for _, _, knots, _ in self.outputs for k in knots})
 
     @property
     def output_knots(self) -> tuple[Rational, ...]:
-        """The sorted union of the outputs' knots, built on each read."""
-        grid = self.per_layer_knot_union[-1]
-        used = {k for _, _, knots, _ in self.outputs for k in knots}
-        return tuple(grid[k] for k in sorted(used))
+        """The sorted union of the outputs' knots."""
+        nums, dens = self.grids[-1]
+        return tuple(Rational(nums[k], dens[k]) for k in self.output_knot_indices)
 
     @property
     def output_splines(self) -> tuple[LinearSpline, ...]:
-        """The outputs as ``LinearSpline``s, built on each read."""
-        grid, den = self.per_layer_knot_union[-1], self.denominator
+        """The outputs as ``LinearSpline``s."""
+        (nums, dens), den = self.grids[-1], self.denominator
         return tuple(
             LinearSpline(
                 Rational(slope, den),
                 Rational(intercept, den),
-                tuple((grid[k], Rational(d, den)) for k, d in zip(knots, jumps)),
+                tuple(
+                    (Rational(nums[k], dens[k]), Rational(d, den)) for k, d in zip(knots, jumps)
+                ),
             )
             for slope, intercept, knots, jumps in self.outputs
         )
@@ -193,9 +212,10 @@ class ExtractionTrace:
         return list(self.output_knots)
 
 
-# A new ReLU root: its location, and the grid range [lo, hi) of the points
-# strictly between the neighbouring knots of its unit.
-_Root = tuple[Rational, int, int]
+# A new ReLU root: a and b of its location a/b (reduced, b > 0), and the
+# grid range [lo, hi) of the points strictly between the neighbouring knots
+# of its unit.
+_Root = tuple[int, int, int, int]
 
 
 def _combine(row: tuple[int, ...], units: list[_Unit], bias: int) -> _Unit:
@@ -212,7 +232,9 @@ def _combine(row: tuple[int, ...], units: list[_Unit], bias: int) -> _Unit:
     return slope, intercept, knots, [jumps[k] for k in knots]
 
 
-def _relu(unit: _Unit, nums: list[int], dens: list[int], roots: list[_Root]) -> _Unit:
+def _relu(
+    unit: _Unit, nums: tuple[int, ...], dens: tuple[int, ...], roots: list[_Root]
+) -> _Unit:
     """``max(0, unit)`` on the grid of points nums[k]/dens[k]. A knot keeps
     its grid index. A root where the unit strictly changes sign is appended
     to ``roots`` and keyed by len(nums) + its position there, until
@@ -224,12 +246,11 @@ def _relu(unit: _Unit, nums: list[int], dens: list[int], roots: list[_Root]) -> 
 
     The walk runs in ints. On each piece the unit is S*x + c with S and c
     ints: the input is 1*x + 0, and an integer combination of such pieces,
-    or relu of one (the piece or 0), is one. So at a grid point p/q
-    (reduced, q > 0) the value is N/q with N = S*p + c*q, the numerator
-    ``evaluate`` reaches at p/q over q*D_i, and its sign is N's. Past a knot
-    with jump d the intercept is c - d*p/q, an int again; as p and q are
-    coprime, q divides d and the // is exact. A root is -c/S, the only
-    rational the walk builds.
+    or relu of one (the piece or 0), is one. So at a grid point p/q the
+    value is N/q with N = S*p + c*q, the numerator ``evaluate`` reaches at
+    p/q over q*D_i, and its sign is N's. Past a knot with jump d the
+    intercept is c - d*p/q, an int again; as p and q are coprime, q divides
+    d and the // is exact. A root is -c/S, kept as a reduced int pair.
     """
     slope, intercept, knots, deltas = unit
     n = len(nums)
@@ -242,7 +263,9 @@ def _relu(unit: _Unit, nums: list[int], dens: list[int], roots: list[_Root]) -> 
     def root(lo: int, hi: int) -> None:  # -c/slope, on the current piece
         out_knots.append(n + len(roots))
         out_jumps.append(abs(slope))
-        roots.append((Rational(-c, slope), lo, hi))
+        p, q = (-c, slope) if slope > 0 else (c, -slope)
+        g = gcd(p, q)
+        roots.append((p // g, q // g, lo, hi))
 
     # the sign at -inf (0 where the unit is flat there): a change of sign at
     # the first knot is the root on the left ray
@@ -265,43 +288,60 @@ def _relu(unit: _Unit, nums: list[int], dens: list[int], roots: list[_Root]) -> 
     return out_slope, out_intercept, out_knots, out_jumps
 
 
-def _regrid(
-    grid: list[Rational], roots: list[_Root], units: list[_Unit]
-) -> tuple[list[Rational], list[_Unit]]:
+def _regrid(grid: _Grid, roots: list[_Root], units: list[_Unit]) -> tuple[_Grid, list[_Unit]]:
     """The next grid, and the units re-keyed onto it.
 
-    Each root is found by bisection inside its range. A root equal to a grid
-    point is that point; the others are sorted within their grid cell. Grid
-    points that no unit uses any more are dropped.
+    Each root a/b is found by bisection inside its range, comparing
+    p*b < a*q at a grid point p/q. A root equal to a grid point is that
+    point. The others are ordered within their grid cell by their
+    numerators over the cell's least common denominator, and equal ones
+    merge. Grid points that no unit uses any more are dropped.
     """
-    n = len(grid)
+    nums, dens = grid
+    n = len(nums)
     used = [False] * n
     for _, _, knots, _ in units:
         for k in knots:
             if k < n:
                 used[k] = True
-    cells: dict[int, list[tuple[Rational, int]]] = {}  # new roots by grid cell
+    cells: dict[int, list[int]] = {}  # the keys of new roots, by grid cell
     on_grid = []
-    for r, (x, lo, hi) in enumerate(roots, start=n):
-        t = bisect_left(grid, x, lo, hi)
-        if t < hi and grid[t] == x:
+    for r, (a, b, lo, hi) in enumerate(roots, start=n):
+        t, end = lo, hi
+        while t < end:  # the first point of the range at or right of a/b
+            mid = (t + end) // 2
+            if nums[mid] * b < a * dens[mid]:
+                t = mid + 1
+            else:
+                end = mid
+        if t < hi and nums[t] == a and dens[t] == b:
             used[t] = True
             on_grid.append((r, t))
         else:
-            cells.setdefault(t, []).append((x, r))
+            cells.setdefault(t, []).append(r)
     key = [0] * (n + len(roots))  # old grid index or root key -> new index
-    points: list[Rational] = []
+    new_nums: list[int] = []
+    new_dens: list[int] = []
     for t in range(n + 1):
-        for x, r in sorted(cells.get(t, ())):
-            if not points or points[-1] != x:
-                points.append(x)
-            key[r] = len(points) - 1
+        cell = cells.get(t)
+        if cell:
+            if len(cell) > 1:
+                lcd = lcm(*(roots[r - n][1] for r in cell))
+                cell.sort(key=lambda r: roots[r - n][0] * (lcd // roots[r - n][1]))
+            for r in cell:
+                a, b, _, _ = roots[r - n]
+                if not new_nums or new_nums[-1] != a or new_dens[-1] != b:
+                    new_nums.append(a)
+                    new_dens.append(b)
+                key[r] = len(new_nums) - 1
         if t < n and used[t]:
-            key[t] = len(points)
-            points.append(grid[t])
+            key[t] = len(new_nums)
+            new_nums.append(nums[t])
+            new_dens.append(dens[t])
     for r, t in on_grid:
         key[r] = key[t]
-    return points, [(s, c, [key[k] for k in knots], d) for s, c, knots, d in units]
+    units = [(s, c, [key[k] for k in knots], d) for s, c, knots, d in units]
+    return (tuple(new_nums), tuple(new_dens)), units
 
 
 def extract(net: ScalarInputNetwork) -> ExtractionTrace:
@@ -314,27 +354,23 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
     at every point. A hidden layer of more than ``KNOT_LIMIT`` knots raises
     ``ValueError``.
     """
-    grid: list[Rational] = []
+    grid: _Grid = ((), ())
     units: list[_Unit] = [(1, 0, [], [])]
     den = 1
-    unions = []
+    grids = []
     for i, layer in enumerate(net.hidden_layers, start=1):
         lcd, rows, biases = layer.integer_form()
-        nums = [x.numerator for x in grid]
-        dens = [x.denominator for x in grid]
         roots: list[_Root] = []
         units = [
-            _relu(_combine(row, units, b * den), nums, dens, roots)
-            for row, b in zip(rows, biases)
+            _relu(_combine(row, units, b * den), *grid, roots) for row, b in zip(rows, biases)
         ]
-        del nums, dens  # not kept alive while the next grid is built
         den *= lcd
         grid, units = _regrid(grid, roots, units)
-        if len(grid) > KNOT_LIMIT:
+        if len(grid[0]) > KNOT_LIMIT:
             raise ValueError(
-                f"hidden layer {i} has {len(grid)} knots, above the limit of {KNOT_LIMIT}"
+                f"hidden layer {i} has {len(grid[0])} knots, above the limit of {KNOT_LIMIT}"
             )
-        unions.append(tuple(grid))
+        grids.append(grid)
     lcd, rows, biases = net.output_layer.integer_form()
     outputs = tuple(_combine(row, units, b * den) for row, b in zip(rows, biases))
-    return ExtractionTrace(outputs, den * lcd, tuple(unions))
+    return ExtractionTrace(outputs, den * lcd, tuple(grids))

@@ -1,10 +1,11 @@
 """Exact rational scalars and their serialized forms.
 
 Every value in this package is an exact rational: a ``fractions.Fraction``,
-reduced, arbitrary precision, positive denominator. ``evaluate``,
-``eval_canonical``, ``extract`` and the CLI's spline CSV writer do their
-arithmetic in Python ints, and ``format_ratio`` and ``decimal_str`` render
-an int pair without building a rational.
+reduced, arbitrary precision, positive denominator. Where values come by
+the thousand they stay in Python ints: ``evaluate`` and ``eval_canonical``
+compute in ints, ``extract`` keeps every knot as a reduced int pair, the
+CLI's knot reports and spline CSV read those pairs, and ``format_ratio``
+and ``decimal_str`` render an int pair without building a rational.
 Floats are rejected at the API boundary: knot existence is an equality
 question (is a slope change zero, does a root coincide with a breakpoint)
 and binary rounding would make the answers depend on how the inputs
@@ -87,6 +88,7 @@ def format_ratio(num: int, den: int) -> str:
 
 def decimal_str(num: int, den: int) -> str:
     """num/den (den > 0) in decimal to 20 significant digits, for plotting;
-    the rational string stays authoritative. The digits do not depend on
+    the rational string stays authoritative. The context takes the two ints
+    exactly and rounds only their quotient, so the digits do not depend on
     whether the pair is reduced."""
-    return str(_DECIMAL.divide(decimal.Decimal(num), decimal.Decimal(den)))
+    return str(_DECIMAL.divide(num, den))

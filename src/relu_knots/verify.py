@@ -441,7 +441,7 @@ def stress_bound(arch: Architecture, trials: int, seed: int) -> StressReport:
     max_observed = 0
     for trial in range(trials):
         net = random_network(rng, arch)
-        count = len(extract(net).output_knots)
+        count = len(extract(net).output_knot_indices)
         if count > bound:
             raise RuntimeError(
                 f"bound violated: {count} > {bound} for widths {arch.widths} "

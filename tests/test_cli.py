@@ -27,7 +27,9 @@ from relu_knots import (
     evaluate,
     extract,
     format_rational,
+    knot_bound,
     load_network,
+    param_count,
     parse_rational,
     save_network,
 )
@@ -138,6 +140,30 @@ class TestBuild:
         assert len(calls) == 1
         assert main(["analyze", str(out_file), "--csv", str(tmp_path / "s.csv")]) == 0
         assert len(calls) == 2
+
+    def test_ladder_builds_rationals_per_parameter(self, tmp_path, monkeypatch, capsys):
+        # The (5,5,5,5,5) p = 2 network has 142 parameters and 7,775 knots:
+        # build --out, analyze --json and analyze --csv read the knots in
+        # ints, so each command builds a few Fractions per parameter at most.
+        arch = Architecture((5, 5, 5, 5, 5), output_dim=2)
+        net, table = str(tmp_path / "net.json"), str(tmp_path / "splines.csv")
+        new = Q.__new__
+        counts = []
+
+        def counted(cls, *args, **kwargs):
+            counts[-1] += 1
+            return new(cls, *args, **kwargs)
+
+        for argv in (
+            ["build", "5", "5", "5", "5", "5", "--p", "2", "--out", net],
+            ["analyze", net, "--json"],
+            ["analyze", net, "--csv", table],
+        ):
+            counts.append(0)
+            with monkeypatch.context() as m:
+                m.setattr(Q, "__new__", counted)
+                assert main(argv) == 0
+        assert max(counts) <= 3 * param_count(arch) < knot_bound(arch)
 
     def test_stdout_json_when_no_out(self, capsys):
         assert main(["build", "4"]) == 0
