@@ -179,6 +179,7 @@ class ExtractionTrace:
 
     @property
     def per_layer_knot_union(self) -> tuple[tuple[Rational, ...], ...]:
+        """Each hidden layer's knot union U_i, ascending."""
         return tuple(tuple(map(Rational, *grid)) for grid in self.grids)
 
     @property

@@ -2,8 +2,8 @@ from __future__ import annotations
 
 import json
 import random
-from math import gcd
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import assume, given
