@@ -25,6 +25,7 @@ from .spline import LinearSpline
 SLOPE_CHANGE_TOLERANCE = 1e-6  # relative threshold of the sampling detector
 SAMPLE_LIMIT = 10_000_001  # largest grid: its float values take about 80 MB per output
 SEPARATION_STEPS = 3  # grid steps two knots need between them to be told apart
+MAX_NUMERATOR, MAX_DENOMINATOR = 100, 10  # default bounds of a random parameter n/d
 
 
 @dataclass(frozen=True, slots=True)
@@ -404,27 +405,71 @@ class StressReport:
     note: str = field(default="randomized search: evidence, not proof")
 
 
-def random_network(
-    rng: random.Random, arch: Architecture, max_numerator: int = 100, max_denominator: int = 10
-) -> ScalarInputNetwork:
-    """Network with seeded random rational parameters for the given shape."""
+def _drawer(
+    rng: random.Random, max_numerator: int, max_denominator: int
+) -> Callable[[Architecture], ScalarInputNetwork]:
+    """Draw networks of a given shape from ``rng``, one call per network.
 
-    def value() -> Rational:
-        return Rational(
-            rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator)
-        )
+    Each parameter is n/d with n uniform on [-max_numerator, max_numerator],
+    then d uniform on [1, max_denominator]; weights come row by row, then
+    biases, layer by layer. Each index is drawn as ``randint`` draws it from
+    a ``random.Random``: k = size.bit_length() bits from ``getrandbits``,
+    drawn again while not below the size. So a seed gives the networks it
+    gave with ``randint`` and leaves ``rng`` in the same state. Each distinct
+    n/d is built once per drawer and shared by the networks it draws; the
+    values go with the drawer, as a table kept for good could grow to
+    (2*max_numerator + 1) * max_denominator of them.
+    """
+    if max_numerator < 0:
+        raise ValueError(f"max_numerator must be non-negative, got {max_numerator}")
+    if max_denominator < 1:
+        raise ValueError(f"max_denominator must be at least 1, got {max_denominator}")
+    getrandbits = rng.getrandbits
+    numerators = 2 * max_numerator + 1
+    n_bits, d_bits = numerators.bit_length(), max_denominator.bit_length()
+    values: dict[int, Rational] = {}
 
     def layer(rows: int, cols: int) -> DenseLayer:
+        params: list[Rational] = []
+        append = params.append
+        for _ in range(rows * (cols + 1)):
+            n = getrandbits(n_bits)
+            while n >= numerators:
+                n = getrandbits(n_bits)
+            d = getrandbits(d_bits)
+            while d >= max_denominator:
+                d = getrandbits(d_bits)
+            key = n * max_denominator + d  # the pair (n, d) as one int
+            try:
+                append(values[key])
+            except KeyError:
+                values[key] = q = Rational(n - max_numerator, d + 1)
+                append(q)
+        weights = rows * cols
         return DenseLayer(
-            tuple(tuple(value() for _ in range(cols)) for _ in range(rows)),
-            tuple(value() for _ in range(rows)),
+            tuple(tuple(params[k : k + cols]) for k in range(0, weights, cols)),
+            tuple(params[weights:]),
         )
 
-    widths = arch.widths
-    hidden = [layer(widths[0], 1)]
-    for prev, width in zip(widths, widths[1:]):
-        hidden.append(layer(width, prev))
-    return ScalarInputNetwork(tuple(hidden), layer(arch.output_dim, widths[-1]))
+    def draw(arch: Architecture) -> ScalarInputNetwork:
+        widths = arch.widths
+        hidden = [layer(widths[0], 1)]
+        for prev, width in zip(widths, widths[1:]):
+            hidden.append(layer(width, prev))
+        return ScalarInputNetwork(tuple(hidden), layer(arch.output_dim, widths[-1]))
+
+    return draw
+
+
+def random_network(
+    rng: random.Random,
+    arch: Architecture,
+    max_numerator: int = MAX_NUMERATOR,
+    max_denominator: int = MAX_DENOMINATOR,
+) -> ScalarInputNetwork:
+    """Network with seeded random rational parameters for the given shape,
+    drawn as ``_drawer`` draws it."""
+    return _drawer(rng, max_numerator, max_denominator)(arch)
 
 
 def stress_bound(arch: Architecture, trials: int, seed: int) -> StressReport:
@@ -436,11 +481,11 @@ def stress_bound(arch: Architecture, trials: int, seed: int) -> StressReport:
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    rng = random.Random(seed)
+    draw = _drawer(random.Random(seed), MAX_NUMERATOR, MAX_DENOMINATOR)
     bound = knot_bound(arch)
     max_observed = 0
     for trial in range(trials):
-        net = random_network(rng, arch)
+        net = draw(arch)
         count = len(extract(net).output_knot_indices)
         if count > bound:
             raise RuntimeError(

@@ -64,6 +64,32 @@ def seeded_points(seed: int, count: int, denominator_limit: int = 100) -> list[F
     ]
 
 
+def reference_random_network(
+    rng: random.Random, arch, max_numerator: int = 100, max_denominator: int = 10
+) -> ScalarInputNetwork:
+    """A network drawn with ``randint``: each parameter is
+    ``Fraction(randint(-M, M), randint(1, D))``, weights row by row, then
+    biases, layer by layer. ``random_network`` must draw the same networks
+    and leave ``rng`` in the same state."""
+
+    def value() -> Fraction:
+        return Fraction(
+            rng.randint(-max_numerator, max_numerator), rng.randint(1, max_denominator)
+        )
+
+    def layer(rows: int, cols: int) -> DenseLayer:
+        return DenseLayer(
+            tuple(tuple(value() for _ in range(cols)) for _ in range(rows)),
+            tuple(value() for _ in range(rows)),
+        )
+
+    widths = arch.widths
+    hidden = [layer(widths[0], 1)]
+    for prev, width in zip(widths, widths[1:]):
+        hidden.append(layer(width, prev))
+    return ScalarInputNetwork(tuple(hidden), layer(arch.output_dim, widths[-1]))
+
+
 def affine_combine(terms, constant=0) -> LinearSpline:
     """Exact ``sum(a_i * f_i) + constant`` in canonical form: jumps at a
     shared location are added, and jumps that cancel to zero are dropped,

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_combine, network_layers, relu, to_network
+from conftest import (
+    affine_combine,
+    network_layers,
+    reference_random_network,
+    relu,
+    to_network,
+)
 from relu_knots import (
     Architecture,
     DenseLayer,
@@ -20,6 +26,7 @@ from relu_knots import (
     extract,
     knot_bound,
     stress_bound,
+    tightness_eligibility,
 )
 from relu_knots import verify
 from relu_knots.construct import build_first_layer_sawtooth, example_tight_network
@@ -31,6 +38,7 @@ from relu_knots.verify import (
     SLOPE_CHANGE_TOLERANCE,
     _float_forward,
     _float_layers,
+    _drawer,
     _grid_points,
     oracle_agreement,
     random_network,
@@ -406,3 +414,70 @@ class TestStressBound:
         net = random_network(rng, Architecture((3, 2), output_dim=4))
         assert net.widths == (3, 2)
         assert net.output_dim == 4
+
+    # (max_numerator, max_denominator): a size of 1, powers of two on
+    # either side of a bit boundary, and sizes that reject often
+    DRAW_BOUNDS = [(0, 1), (1, 1), (10, 3), (100, 10), (3, 97), (1000, 2), (128, 256)]
+
+    @pytest.mark.parametrize("bounds", DRAW_BOUNDS, ids=str)
+    def test_draws_the_randint_networks(self, bounds):
+        # shapes alternate between one drawer and random_network, which
+        # makes a drawer per call; randint draws from a twin generator
+        shapes = [
+            Architecture(tuple(1 + (width + k) % 9 for k in range(depth)), output_dim=p)
+            for depth in range(1, 5)
+            for width in range(9)
+            for p in range(1, 4)
+        ]
+        rng, ref_rng = random.Random(17), random.Random(17)
+        draw = _drawer(rng, *bounds)
+        for k, arch in enumerate(shapes):
+            net = draw(arch) if k % 2 else random_network(rng, arch, *bounds)
+            assert net == reference_random_network(ref_rng, arch, *bounds)
+            assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize(
+        "widths, trials", [((2, 2), 100), ((8, 8, 8, 8), 8), ((32, 32), 8)], ids=str
+    )
+    def test_stress_matches_reference_loop(self, widths, trials):
+        arch = Architecture(widths, output_dim=2)
+        for seed in (0, 3, 1702):
+            rng = random.Random(seed)
+            counts = [
+                len(extract(reference_random_network(rng, arch)).output_knots)
+                for _ in range(trials)
+            ]
+            bound = knot_bound(arch)
+            assert stress_bound(arch, trials, seed) == verify.StressReport(
+                trials=trials,
+                seed=seed,
+                bound=bound,
+                max_observed=max(counts),
+                gap=bound - max(counts) if tightness_eligibility(arch) is not None else None,
+            )
+
+    @pytest.mark.parametrize(
+        "bounds, name", [((-1, 10), "max_numerator"), ((100, 0), "max_denominator")]
+    )
+    def test_bad_bounds_rejected_before_drawing(self, bounds, name):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=name):
+            random_network(rng, Architecture((2, 2)), *bounds)
+        assert rng.getstate() == state
+
+    def test_builds_one_rational_per_distinct_parameter(self, monkeypatch):
+        # 201 numerators over 10 denominators give 2,010 distinct pairs; a
+        # search of 100 networks of 250 parameters builds each at most once
+        new = Q.__new__
+        count = 0
+
+        def counted(cls, *args, **kwargs):
+            nonlocal count
+            count += 1
+            return new(cls, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(Q, "__new__", counted)
+            stress_bound(Architecture((8, 8, 8, 8), output_dim=2), 100, 3)
+        assert count <= 2_010
