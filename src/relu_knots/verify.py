@@ -408,7 +408,7 @@ class StressReport:
 def _drawer(
     rng: random.Random, max_numerator: int, max_denominator: int
 ) -> Callable[[Architecture], ScalarInputNetwork]:
-    """Draw networks of a given shape from ``rng``, one call per network.
+    """A function that draws, at each call, a network of the given shape from ``rng``.
 
     Each parameter is n/d with n uniform on [-max_numerator, max_numerator],
     then d uniform on [1, max_denominator]; weights come row by row, then

@@ -36,9 +36,9 @@ from relu_knots.verify import (
     CHUNK,
     SAMPLE_LIMIT,
     SLOPE_CHANGE_TOLERANCE,
+    _drawer,
     _float_forward,
     _float_layers,
-    _drawer,
     _grid_points,
     oracle_agreement,
     random_network,
@@ -415,8 +415,9 @@ class TestStressBound:
         assert net.widths == (3, 2)
         assert net.output_dim == 4
 
-    # (max_numerator, max_denominator): a size of 1, powers of two on
-    # either side of a bit boundary, and sizes that reject often
+    # (max_numerator, max_denominator): ranges of size 1 (one bit drawn),
+    # sizes 2 and 256 (powers of two: about half the draws rejected), 257
+    # (just past one) and sizes with no bit boundary near
     DRAW_BOUNDS = [(0, 1), (1, 1), (10, 3), (100, 10), (3, 97), (1000, 2), (128, 256)]
 
     @pytest.mark.parametrize("bounds", DRAW_BOUNDS, ids=str)
