@@ -53,7 +53,7 @@ def bound_prefixes(arch: Architecture) -> list[int]:
 
 def knot_bound(arch: Architecture) -> int:
     """Exact maximum number of knots any network of this shape can produce."""
-    return math.prod(n + 1 for n in arch.widths) - 1
+    return bound_prefixes(arch)[-1]
 
 
 def approx_bound(arch: Architecture) -> int:

@@ -86,7 +86,7 @@ def to_forward_facing(net: ScalarInputNetwork) -> CanonicalShallowForm:
     p = out.size
 
     line_slope = [ZERO for _ in range(p)]
-    line_intercept = [as_rational(b) for b in out.biases]
+    line_intercept = list(out.biases)
     kept: list[tuple[Rational, int]] = []  # (knot location, unit index)
     folded: list[int] = []
     for j in range(hidden.size):

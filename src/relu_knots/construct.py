@@ -34,7 +34,7 @@ class SawtoothWitness:
 
     ``combination_weights[j]`` multiplies unit j of the layer just built;
     ``oscillation_range`` is that combination's exact (min, max) over its
-    knots.
+    knots, and its low end is below its high end.
     """
 
     combination_weights: tuple[Rational, ...]
@@ -44,8 +44,10 @@ class SawtoothWitness:
         object.__setattr__(
             self, "combination_weights", tuple(as_rational(a) for a in self.combination_weights)
         )
-        low, high = self.oscillation_range
-        object.__setattr__(self, "oscillation_range", (as_rational(low), as_rational(high)))
+        low, high = map(as_rational, self.oscillation_range)
+        if low >= high:
+            raise ValueError(f"degenerate oscillation range ({low}, {high})")
+        object.__setattr__(self, "oscillation_range", (low, high))
 
     @property
     def span(self) -> Rational:
@@ -98,8 +100,6 @@ def build_inductive_layer(
         raise ValueError(f"an inductive sawtooth layer needs at least 3 units, got {n_i}")
     low, _high = prev.oscillation_range
     span = prev.span
-    if span <= 0:
-        raise ValueError("previous sawtooth has a degenerate oscillation range")
     denom = 2 * n_i + 1
     weights = []
     biases = []
@@ -129,8 +129,6 @@ def build_final_layer(prev: SawtoothWitness, n_l: int) -> DenseLayer:
         )
     low, _high = prev.oscillation_range
     span = prev.span
-    if span <= 0:
-        raise ValueError("previous sawtooth has a degenerate oscillation range")
     weights = []
     biases = []
     for k in range(1, n_l + 1):

@@ -292,11 +292,12 @@ def _relu(
 def _regrid(grid: _Grid, roots: list[_Root], units: list[_Unit]) -> tuple[_Grid, list[_Unit]]:
     """The next grid, and the units re-keyed onto it.
 
-    Each root a/b is found by bisection inside its range, comparing
-    p*b < a*q at a grid point p/q. A root equal to a grid point is that
-    point. The others are ordered within their grid cell by their
-    numerators over the cell's least common denominator, and equal ones
-    merge. Grid points that no unit uses any more are dropped.
+    Each root a/b joins the cell of the first point of its range at or
+    right of it, found by bisection comparing p*b < a*q at a grid point
+    p/q. A cell's roots, ordered by their numerators over the cell's least
+    common denominator, and then its point, if a unit still uses it, are
+    placed in turn, and one equal to the last point placed merges with it.
+    Grid points that no unit uses any more are dropped.
     """
     nums, dens = grid
     n = len(nums)
@@ -306,7 +307,6 @@ def _regrid(grid: _Grid, roots: list[_Root], units: list[_Unit]) -> tuple[_Grid,
             if k < n:
                 used[k] = True
     cells: dict[int, list[int]] = {}  # the keys of new roots, by grid cell
-    on_grid = []
     for r, (a, b, lo, hi) in enumerate(roots, start=n):
         t, end = lo, hi
         while t < end:  # the first point of the range at or right of a/b
@@ -315,11 +315,7 @@ def _regrid(grid: _Grid, roots: list[_Root], units: list[_Unit]) -> tuple[_Grid,
                 t = mid + 1
             else:
                 end = mid
-        if t < hi and nums[t] == a and dens[t] == b:
-            used[t] = True
-            on_grid.append((r, t))
-        else:
-            cells.setdefault(t, []).append(r)
+        cells.setdefault(t, []).append(r)
     key = [0] * (n + len(roots))  # old grid index or root key -> new index
     new_nums: list[int] = []
     new_dens: list[int] = []
@@ -336,11 +332,10 @@ def _regrid(grid: _Grid, roots: list[_Root], units: list[_Unit]) -> tuple[_Grid,
                     new_dens.append(b)
                 key[r] = len(new_nums) - 1
         if t < n and used[t]:
-            key[t] = len(new_nums)
-            new_nums.append(nums[t])
-            new_dens.append(dens[t])
-    for r, t in on_grid:
-        key[r] = key[t]
+            if not new_nums or new_nums[-1] != nums[t] or new_dens[-1] != dens[t]:
+                new_nums.append(nums[t])
+                new_dens.append(dens[t])
+            key[t] = len(new_nums) - 1
     units = [(s, c, [key[k] for k in knots], d) for s, c, knots, d in units]
     return (tuple(new_nums), tuple(new_dens)), units
 

@@ -56,6 +56,14 @@ def to_network(layers) -> ScalarInputNetwork:
     )
 
 
+def single_unit_net() -> ScalarInputNetwork:
+    """relu(x): one hidden unit, the identity as its output."""
+    return ScalarInputNetwork(
+        (DenseLayer(((Fraction(1),),), (Fraction(0),)),),
+        DenseLayer(((Fraction(1),),), (Fraction(0),)),
+    )
+
+
 def seeded_points(seed: int, count: int, denominator_limit: int = 100) -> list[Fraction]:
     rng = random.Random(seed)
     return [
@@ -163,18 +171,20 @@ def combination(witness, units) -> LinearSpline:
     return affine_combine(zip(witness.combination_weights, units))
 
 
+def reference_layer(layer, units=(LinearSpline(1, 0),)) -> list[LinearSpline]:
+    """The spline of every unit of ``layer``, one unit at a time: relu of
+    the affine combination of ``units``, by default the input, the line x."""
+    return [
+        relu(affine_combine(zip(row, units), b)) for row, b in zip(layer.weights, layer.biases)
+    ]
+
+
 def reference_unit_splines(net) -> list[list[LinearSpline]]:
-    """The spline of every hidden unit, layer by layer, one unit at a time:
-    relu of the affine combination of the layer below, the input being the
-    line x."""
-    layers = []
-    units = [LinearSpline(1, 0)]
-    for layer in net.hidden_layers:
-        units = [
-            relu(affine_combine(zip(row, units), b))
-            for row, b in zip(layer.weights, layer.biases)
-        ]
-        layers.append(units)
+    """The spline of every hidden unit, layer by layer: ``reference_layer``
+    of each layer on the one below."""
+    layers = [reference_layer(net.hidden_layers[0])]
+    for layer in net.hidden_layers[1:]:
+        layers.append(reference_layer(layer, layers[-1]))
     return layers
 
 

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction as Q
 
-from conftest import affine_combine, combination, relu
+from conftest import affine_combine, combination, reference_layer
 from relu_knots import (
     Architecture,
     build_tight_network,
@@ -24,7 +24,6 @@ from relu_knots import (
     to_forward_facing,
 )
 from relu_knots.construct import build_first_layer_sawtooth, build_inductive_layer, example_tight_network
-from relu_knots.spline import LinearSpline
 from relu_knots.verify import SamplingConfig, oracle_agreement, random_network
 
 
@@ -153,21 +152,13 @@ def test_criterion_5_bound_universality():
     )
 
 
-def _first_layer_units(n1: int) -> list[LinearSpline]:
-    layer, _ = build_first_layer_sawtooth(n1)
-    return [
-        relu(LinearSpline(row[0], b))
-        for row, b in zip(layer.weights, layer.biases)
-    ]
-
-
 def test_criterion_6_sawtooth_invariants():
     ok = True
     details = []
     # first-layer waves: slope walk -1, 1/2, -1/2, ... (unscaled weights)
     for n1 in (3, 6, 8):
         layer, witness = build_first_layer_sawtooth(n1)
-        units = _first_layer_units(n1)
+        units = reference_layer(layer)
         wave = affine_combine(
             [(a / 2, f) for a, f in zip(witness.combination_weights, units)]
         )
@@ -178,12 +169,8 @@ def test_criterion_6_sawtooth_invariants():
     # inductive layers: consecutive knot values move by exactly 1/(2n+1)
     for n_i in (3, 5, 7):
         first, witness = build_first_layer_sawtooth(3)
-        units = tuple(_first_layer_units(3))
         layer, new_witness = build_inductive_layer(witness, n_i)
-        new_units = tuple(
-            relu(affine_combine(zip(row, units), b))
-            for row, b in zip(layer.weights, layer.biases)
-        )
+        new_units = reference_layer(layer, reference_layer(first))
         wave = combination(new_witness, new_units)
         values = wave.knot_values()
         step = Q(1, 2 * n_i + 1)

@@ -96,6 +96,19 @@ class TestEvalCanonical:
         with pytest.raises(TypeError, match="refusing float"):
             CanonicalShallowForm((Q(0),), ((0.1,),), (Q(0),), (Q(1, 5),))
 
+    @pytest.mark.parametrize(
+        "knots, ray_slopes, line_slope, message",
+        [
+            ((Q(0),), ((Q(1), Q(1)),), (Q(0),), "ray_slopes rows must match"),
+            ((Q(0),), ((Q(1),),), (Q(0), Q(0)), "line coefficient lengths must match"),
+            ((Q(1), Q(0)), ((Q(1), Q(1)),), (Q(0),), "knot locations must be non-decreasing"),
+        ],
+        ids=["ragged-ray-slopes", "line-of-wrong-length", "descending-knots"],
+    )
+    def test_rejects_bad_shapes_and_order(self, knots, ray_slopes, line_slope, message):
+        with pytest.raises(ValueError, match=message):
+            CanonicalShallowForm(knots, ray_slopes, line_slope, (Q(0),))
+
     def test_empty_form_is_constant(self):
         form = CanonicalShallowForm((), ((),), (Q(0),), (Q(5),))
         assert eval_canonical(form, 123) == [Q(5)]

@@ -4,7 +4,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conftest import affine_combine, combination, knot_union, reference_unit_splines, relu
+from conftest import (
+    affine_combine,
+    combination,
+    knot_union,
+    reference_layer,
+    reference_unit_splines,
+)
 from relu_knots import (
     Architecture,
     DenseLayer,
@@ -14,13 +20,13 @@ from relu_knots import (
     recurrence_step,
 )
 from relu_knots.construct import (
+    SawtoothWitness,
     build_final_layer,
     build_first_layer_sawtooth,
     build_inductive_layer,
     build_tight_network,
     example_tight_network,
 )
-from relu_knots.spline import LinearSpline
 
 # The reference network, widths (6, 3, 2) with two outputs, written out: the
 # builders must give exactly these parameters.
@@ -37,14 +43,10 @@ REFERENCE = ScalarInputNetwork(
 )
 
 
-def layer_splines(layer: DenseLayer) -> list[LinearSpline]:
-    return [relu(LinearSpline(row[0], b)) for row, b in zip(layer.weights, layer.biases)]
-
-
 class TestFirstLayerSawtooth:
     def test_eight_units(self):
         layer, witness = build_first_layer_sawtooth(8)
-        wave = combination(witness, extract_layer(layer))
+        wave = combination(witness, reference_layer(layer))
         assert wave.knots() == [Q(j) for j in range(8)]
         assert wave.piece_slopes() == [Q(-2)] + [Q(1) if i % 2 == 0 else Q(-1) for i in range(8)]
         assert check_sawtooth(wave).ok
@@ -52,17 +54,17 @@ class TestFirstLayerSawtooth:
     def test_six_units_matches_reference_layer(self):
         layer, witness = build_first_layer_sawtooth(6)
         assert layer == REFERENCE.hidden_layers[0]
-        wave = combination(witness, extract_layer(layer))
+        wave = combination(witness, reference_layer(layer))
         assert wave.knot_value_range() == (4, 5)
         assert witness.oscillation_range == (4, 5)
 
     def test_three_units_minimal(self):
         layer, witness = build_first_layer_sawtooth(3)
-        wave = combination(witness, extract_layer(layer))
+        wave = combination(witness, reference_layer(layer))
         assert wave.knots() == [Q(0), Q(1), Q(2)]
         # halving the weights gives the unscaled slope walk -1, 1/2, -1/2, 1/2
         half = affine_combine(
-            [(a / 2, f) for a, f in zip(witness.combination_weights, extract_layer(layer))]
+            [(a / 2, f) for a, f in zip(witness.combination_weights, reference_layer(layer))]
         )
         assert half.piece_slopes() == [Q(-1), Q(1, 2), Q(-1, 2), Q(1, 2)]
 
@@ -72,26 +74,25 @@ class TestFirstLayerSawtooth:
                 build_first_layer_sawtooth(n)
 
 
-def extract_layer(layer: DenseLayer):
-    return tuple(layer_splines(layer))
+class TestSawtoothWitness:
+    @pytest.mark.parametrize(
+        "oscillation_range", [(1, 1), (Q(5, 7), Q(4, 7))], ids=["equal-ends", "reversed-ends"]
+    )
+    def test_rejects_degenerate_range(self, oscillation_range):
+        with pytest.raises(ValueError, match="degenerate oscillation range"):
+            SawtoothWitness((3, -2, 2), oscillation_range)
 
 
 def build_prefix(widths: tuple[int, ...]):
     """First layer plus inductive layers; returns (hidden_layers, witness, unit splines)."""
     first, witness = build_first_layer_sawtooth(widths[0])
     hidden = [first]
-    units = extract_layer(first)
+    units = reference_layer(first)
     for n_i in widths[1:]:
         layer, witness = build_inductive_layer(witness, n_i)
         hidden.append(layer)
-        units = _apply(layer, units)
+        units = reference_layer(layer, units)
     return hidden, witness, units
-
-
-def _apply(layer: DenseLayer, units):
-    return tuple(
-        relu(affine_combine(zip(row, units), b)) for row, b in zip(layer.weights, layer.biases)
-    )
 
 
 class TestInductiveLayer:
@@ -117,7 +118,7 @@ class TestInductiveLayer:
 
     def test_knot_provenance(self):
         hidden, witness, units = build_prefix((4, 3))
-        prev_units = extract_layer(hidden[0])
+        prev_units = reference_layer(hidden[0])
         prev_knots = set(knot_union(prev_units))
         new_knots = set(knot_union(units))
         assert prev_knots <= new_knots  # every old knot preserved
@@ -140,14 +141,14 @@ class TestFinalLayer:
     def test_two_units_achieve_recurrence(self):
         hidden, witness, units = build_prefix((5,))
         final = build_final_layer(witness, 2)
-        final_units = _apply(final, units)
+        final_units = reference_layer(final, units)
         assert len(knot_union(final_units)) == recurrence_step(5, 2)
 
     def test_four_units_on_deeper_prefix(self):
         hidden, witness, units = build_prefix((3, 3))
         assert len(combination(witness, units).knots()) == 15
         final = build_final_layer(witness, 4)
-        final_units = _apply(final, units)
+        final_units = reference_layer(final, units)
         assert len(knot_union(final_units)) == 79 == recurrence_step(15, 4)
 
     def test_rejects_single_unit(self):

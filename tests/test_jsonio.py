@@ -12,6 +12,7 @@ from relu_knots import (
     network_to_dict,
     save_network,
 )
+from relu_knots.cli import main
 from relu_knots.construct import example_tight_network
 
 
@@ -21,6 +22,9 @@ def minimal_doc() -> dict:
         "hidden_layers": [{"weights": [["1"], ["-1/2"]], "biases": ["0", "3"]}],
         "output_layer": {"weights": [["2", "1/3"]], "biases": ["-1"]},
     }
+
+
+DELETE = object()  # a case's value that removes its key
 
 
 class TestRoundTrip:
@@ -111,6 +115,52 @@ class TestSchemaErrors:
     def test_top_level_not_object(self):
         with pytest.raises(SchemaError, match=r"\$"):
             network_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "keys, value, path",
+        [
+            (("hidden_layers", 0, "weights", 0, 0), True, "hidden_layers[0].weights[0][0]"),
+            (("output_layer", "biases", 0), None, "output_layer.biases[0]"),
+            (("hidden_layers", 0, "weights"), "1", "hidden_layers[0].weights"),
+            (("hidden_layers", 0), [], "hidden_layers[0]"),
+            (("output_layer", "weights"), DELETE, "output_layer"),
+            (("p",), DELETE, "$"),
+            (("hidden_layers",), [], "hidden_layers"),
+            (("p",), 0, "p"),
+            (("p",), True, "p"),
+        ],
+        ids=[
+            "true-entry",
+            "null-entry",
+            "weights-not-an-array",
+            "layer-not-an-object",
+            "missing-weights",
+            "missing-top-level-key",
+            "empty-hidden-layers",
+            "p-zero",
+            "p-true",
+        ],
+    )
+    def test_error_starts_with_its_path(self, keys, value, path, tmp_path, capsys):
+        doc = minimal_doc()
+        *parents, last = keys
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        with pytest.raises(SchemaError) as exc:
+            network_from_dict(doc)
+        assert str(exc.value).startswith(f"{path}: ")
+        # analyze exits 2 with the message on one error line
+        file = tmp_path / "net.json"
+        file.write_text(json.dumps(doc))
+        assert main(["analyze", str(file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {file}: {exc.value}\n"
 
     def test_round_trip_through_text(self, tmp_path):
         net = example_tight_network()

@@ -17,6 +17,7 @@ from conftest import (
     reference_extract,
     same_as_reference,
     seeded_points,
+    single_unit_net,
     splines,
     to_network,
 )
@@ -25,6 +26,7 @@ from relu_knots import (
     DenseLayer,
     Rational,
     ScalarInputNetwork,
+    as_rational,
     evaluate,
     extract,
     knot_bound,
@@ -36,13 +38,6 @@ from relu_knots import network
 from relu_knots.cli import main
 from relu_knots.construct import build_tight_network, example_tight_network
 from relu_knots.verify import random_network
-
-
-def single_unit_net() -> ScalarInputNetwork:
-    return ScalarInputNetwork(
-        (DenseLayer(((Q(1),),), (Q(0),)),),
-        DenseLayer(((Q(1),),), (Q(0),)),
-    )
 
 
 class TestEvaluate:
@@ -456,6 +451,18 @@ class TestExtractAgainstReference:
 
 
 class TestValidation:
+    def test_layer_needs_a_unit(self):
+        with pytest.raises(ValueError, match="at least one unit"):
+            DenseLayer((), ())
+
+    def test_network_needs_a_hidden_layer(self):
+        with pytest.raises(ValueError, match="at least one hidden layer"):
+            ScalarInputNetwork((), DenseLayer(((Q(1),),), (Q(0),)))
+
+    def test_parameter_of_no_numeric_type_rejected(self):
+        with pytest.raises(TypeError, match="cannot interpret object as a rational"):
+            as_rational(object())
+
     def test_first_layer_must_take_scalar_input(self):
         with pytest.raises(ValueError):
             ScalarInputNetwork(

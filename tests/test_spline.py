@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_combine, rationals, reference_unit_splines, relu, splines
+from conftest import (
+    affine_combine,
+    rationals,
+    reference_layer,
+    reference_unit_splines,
+    relu,
+    splines,
+)
 from relu_knots import LinearSpline
 from relu_knots.construct import build_first_layer_sawtooth, example_tight_network
 from relu_knots.network import extract
@@ -14,14 +21,9 @@ from relu_knots.network import extract
 SIGMA = LinearSpline(0, 0, ((Q(0), Q(1)),))  # max(0, x)
 
 
-def first_layer_splines(n1: int) -> list[LinearSpline]:
-    layer, _ = build_first_layer_sawtooth(n1)
-    return [relu(LinearSpline(row[0], b)) for row, b in zip(layer.weights, layer.biases)]
-
-
 def reference_sawtooth(n1: int = 6) -> LinearSpline:
     layer, witness = build_first_layer_sawtooth(n1)
-    return affine_combine(zip(witness.combination_weights, first_layer_splines(n1)))
+    return affine_combine(zip(witness.combination_weights, reference_layer(layer)))
 
 
 class TestEval:
@@ -71,7 +73,7 @@ class TestAffineCombine:
         # -1, 1/2, -1/2, ... across the nine pieces.
         layer, witness = build_first_layer_sawtooth(8)
         unscaled = [a / 2 for a in witness.combination_weights]
-        wave = affine_combine(zip(unscaled, first_layer_splines(8)), Q(-9, 4))
+        wave = affine_combine(zip(unscaled, reference_layer(layer)), Q(-9, 4))
         expected = [Q(-1)] + [Q(1, 2) if i % 2 == 0 else Q(-1, 2) for i in range(8)]
         assert wave.piece_slopes() == expected
 

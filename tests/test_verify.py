@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from conftest import (
     affine_combine,
     network_layers,
+    reference_layer,
     reference_random_network,
     relu,
+    single_unit_net,
     to_network,
 )
 from relu_knots import (
@@ -168,13 +170,6 @@ def dead_block_network() -> ScalarInputNetwork:
     )
 
 
-def ramp_net() -> ScalarInputNetwork:
-    return ScalarInputNetwork(
-        (DenseLayer(((Q(1),),), (Q(0),)),),
-        DenseLayer(((Q(1),),), (Q(0),)),
-    )
-
-
 def constant_net() -> ScalarInputNetwork:
     return ScalarInputNetwork(
         (DenseLayer(((Q(0),),), (Q(5),)),),
@@ -185,7 +180,7 @@ def constant_net() -> ScalarInputNetwork:
 class TestDetection:
     def test_single_ramp(self):
         cfg = SamplingConfig((Q(-1), Q(1)), samples=1001)
-        detections = detect_knots_by_sampling(ramp_net(), cfg)
+        detections = detect_knots_by_sampling(single_unit_net(), cfg)
         assert len(detections) == 1
         assert abs(detections[0]) <= cfg.grid_step
 
@@ -194,7 +189,7 @@ class TestDetection:
         samples = 100_001
         tracemalloc.start()
         try:
-            detections = detect_knots_by_sampling(ramp_net(), SamplingConfig((-1, 6), samples))
+            detections = detect_knots_by_sampling(single_unit_net(), SamplingConfig((-1, 6), samples))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -349,10 +344,7 @@ class TestOracleReport:
 class TestCheckSawtooth:
     def wave(self, n1: int = 8, offset: Q = Q(-9, 4)) -> LinearSpline:
         layer, witness = build_first_layer_sawtooth(n1)
-        units = [
-            relu(LinearSpline(row[0], b))
-            for row, b in zip(layer.weights, layer.biases)
-        ]
+        units = reference_layer(layer)
         terms = [(a / 2, f) for a, f in zip(witness.combination_weights, units)]
         return affine_combine(terms, offset)
 
@@ -367,10 +359,7 @@ class TestCheckSawtooth:
 
     def test_perturbed_weight_breaks_level_minima(self):
         layer, witness = build_first_layer_sawtooth(8)
-        units = [
-            relu(LinearSpline(row[0], b))
-            for row, b in zip(layer.weights, layer.biases)
-        ]
+        units = reference_layer(layer)
         weights = [a / 2 for a in witness.combination_weights]
         weights[1] += Q(1, 100)
         wave = affine_combine(zip(weights, units), Q(-9, 4))
