@@ -57,15 +57,7 @@ class SawtoothWitness:
 
 def _alternating_weights(n: int) -> list[RationalLike]:
     # 3/2, -1, 1, -1, 1, ...: cumulative sums walk -1 -> 1/2 -> -1/2 -> 1/2 ...
-    weights = []
-    for k in range(1, n + 1):
-        if k == 1:
-            weights.append(Rational(3, 2))
-        elif k % 2 == 0:
-            weights.append(-1)
-        else:
-            weights.append(1)
-    return weights
+    return [Rational(3, 2), *((-1) ** (k + 1) for k in range(2, n + 1))]
 
 
 def build_first_layer_sawtooth(n1: int) -> tuple[DenseLayer, SawtoothWitness]:
@@ -84,6 +76,17 @@ def build_first_layer_sawtooth(n1: int) -> tuple[DenseLayer, SawtoothWitness]:
     return DenseLayer(weights, biases), witness
 
 
+def _slicing_layer(
+    prev: SawtoothWitness, scale: Rational | int, slices: list[tuple[int, Rational]]
+) -> DenseLayer:
+    """A unit sign*scale*(s - (low + f*span)) per (sign, f) of ``slices``: the
+    incoming sawtooth s sliced at fraction f of its range (low, low + span)."""
+    low, span = prev.oscillation_range[0], prev.span
+    units = [(sign * scale, low + f * span) for sign, f in slices]
+    weights = tuple(tuple(c * a for a in prev.combination_weights) for c, _ in units)
+    return DenseLayer(weights, tuple(-c * threshold for c, threshold in units))
+
+
 def build_inductive_layer(
     prev: SawtoothWitness, n_i: int
 ) -> tuple[DenseLayer, SawtoothWitness]:
@@ -98,19 +101,12 @@ def build_inductive_layer(
     """
     if n_i < 3:
         raise ValueError(f"an inductive sawtooth layer needs at least 3 units, got {n_i}")
-    low, _high = prev.oscillation_range
-    span = prev.span
     denom = 2 * n_i + 1
-    weights = []
-    biases = []
-    for k in range(1, n_i + 1):
-        sign = -1 if k == 3 else 1
-        weights.append(tuple(sign * a / span for a in prev.combination_weights))
-        biases.append(-sign * (low / span + Rational(2 * k - 1, denom)))
+    slices = [(-1 if k == 3 else 1, Rational(2 * k - 1, denom)) for k in range(1, n_i + 1)]
     witness = SawtoothWitness(
         tuple(_alternating_weights(n_i)), (Rational(4, denom), Rational(5, denom))
     )
-    return DenseLayer(tuple(weights), tuple(biases)), witness
+    return _slicing_layer(prev, 1 / prev.span, slices), witness
 
 
 def build_final_layer(prev: SawtoothWitness, n_l: int) -> DenseLayer:
@@ -127,16 +123,8 @@ def build_final_layer(prev: SawtoothWitness, n_l: int) -> DenseLayer:
             f"the final hidden layer needs at least 2 units to both keep and "
             f"create knots, got {n_l}"
         )
-    low, _high = prev.oscillation_range
-    span = prev.span
-    weights = []
-    biases = []
-    for k in range(1, n_l + 1):
-        sign = -1 if k % 2 == 0 else 1
-        threshold = low + Rational(k, n_l + 1) * span
-        weights.append(tuple(sign * FINAL_LAYER_SCALE * a for a in prev.combination_weights))
-        biases.append(-sign * FINAL_LAYER_SCALE * threshold)
-    return DenseLayer(tuple(weights), tuple(biases))
+    slices = [(-1 if k % 2 == 0 else 1, Rational(k, n_l + 1)) for k in range(1, n_l + 1)]
+    return _slicing_layer(prev, FINAL_LAYER_SCALE, slices)
 
 
 def _distinct_knot_layer(n1: int) -> DenseLayer:

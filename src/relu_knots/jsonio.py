@@ -19,6 +19,7 @@ do not denote exact values.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -122,13 +123,17 @@ def network_to_dict(net: ScalarInputNetwork) -> dict:
 
 
 def load_network(path: str | Path) -> ScalarInputNetwork:
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"$: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"$: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise SchemaError("$: nested too deeply to parse") from exc
+    except ValueError as exc:  # an int past Python's digit limit
+        digits = sys.get_int_max_str_digits()
+        raise SchemaError(f"$: an integer has more than {digits} digits") from exc
     return network_from_dict(data)
 
 

@@ -70,7 +70,8 @@ def parse_rational(text: str) -> Rational:
             raise ValueError
         return Rational(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational {text!r}") from exc
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise ValueError(f"invalid rational {shown}") from exc
 
 
 def format_rational(value: Rational) -> str:

@@ -71,31 +71,26 @@ CHUNK = 32  # most inputs summed in one generated expression
 
 
 @functools.cache
-def _list_pass(inputs: int, resume: bool, finish: bool, relu: bool) -> Callable[..., list[float]]:
+def _list_pass(inputs: int, relu: bool) -> Callable[..., list[float]]:
     """One list pass over ``zip`` of ``inputs`` columns of a block.
 
     The source is generated for the input count: a list comprehension that
-    evaluates ``w0*v0 + w1*v1 + ...``, started from the running sums ``a``
-    of ``acc`` if ``resume``, and, if ``finish``, ended by ``+ b`` and relu
-    on hidden rows. Python adds that expression left to right, as
-    ``((a + w0*v0) + w1*v1) + ...``. The weights and the bias are
-    arguments, never text in the source; ``inputs`` is at most ``CHUNK``, so
-    130 passes at most are cached. The relu keeps a nan for the output check.
+    evaluates ``w0*v0 + w1*v1 + ... + b``, then relu if ``relu``. Python
+    adds that expression left to right, as ``((w0*v0 + w1*v1) + ...) + b``.
+    The weights and the bias are arguments, never text in the source;
+    ``inputs`` is at most ``CHUNK``, so at most 2*``CHUNK`` passes are
+    cached. The relu keeps a nan for the output check.
     """
     ws = "".join(f"w{k}, " for k in range(inputs))
     cs = "".join(f"c{k}, " for k in range(inputs))
     vs = "".join(f"v{k}, " for k in range(inputs))
-    terms = [f"w{k} * v{k}" for k in range(inputs)]
-    zipped = cs
-    if resume:
-        terms, vs, zipped = ["a", *terms], "a, " + vs, "acc, " + cs
-    value = " + ".join([*terms, "b"] if finish else terms)
-    item = f"0.0 if (p := {value}) <= 0.0 else p" if finish and relu else value
+    value = " + ".join([*(f"w{k} * v{k}" for k in range(inputs)), "b"])
+    item = f"0.0 if (p := {value}) <= 0.0 else p" if relu else value
     source = (
-        "def list_pass(row, b, columns, acc=None):\n"
+        "def list_pass(row, b, columns):\n"
         f"    {ws}= row\n"
         f"    {cs}= columns\n"
-        f"    return [{item} for {vs}in zip({zipped})]\n"
+        f"    return [{item} for {vs}in zip({cs})]\n"
     )
     namespace: dict = {}
     exec(source, namespace)
@@ -108,22 +103,26 @@ def _row_kernel(inputs: int, relu: bool) -> Callable[..., list[float]]:
 
     A row of at most ``CHUNK`` inputs is one ``_list_pass``. CPython's
     compiler refuses an expression nested a few thousand levels deep, and
-    each term of the sum is one level, so a wider row takes one pass per
-    ``CHUNK`` of its inputs, each resuming from the running sums of the one
-    before.
+    each term of the sum is one level, so a wider row runs that pass over
+    its first ``CHUNK`` inputs, then over the running sums, with weight
+    1.0, and the next ``CHUNK - 1`` inputs; the last pass adds ``b`` and
+    applies relu, the others add 0.0. The sums stay those from the integer
+    0 that ``_float_forward`` asks for: ``1.0*a == a`` for every float,
+    -0.0, inf and nan included, and adding 0.0 to the first pass's sum turns
+    a -0.0 into exactly the partial sum from 0, never -0.0, after which
+    adding 0.0 changes nothing.
     """
     if inputs <= CHUNK:
-        return _list_pass(inputs, resume=False, finish=True, relu=relu)
-    rest = inputs - CHUNK * ((inputs - 1) // CHUNK)  # inputs of the last pass
-    first = _list_pass(CHUNK, resume=False, finish=False, relu=False)
-    middle = _list_pass(CHUNK, resume=True, finish=False, relu=False)
-    last = _list_pass(rest, resume=True, finish=True, relu=relu)
+        return _list_pass(inputs, relu)
+    stride = CHUNK - 1
 
     def kernel(row: list[float], b: float, columns: list[list[float]]) -> list[float]:
-        acc = first(row[:CHUNK], b, columns[:CHUNK])
-        for k in range(CHUNK, inputs - rest, CHUNK):
-            acc = middle(row[k : k + CHUNK], b, columns[k : k + CHUNK], acc)
-        return last(row[-rest:], b, columns[-rest:], acc)
+        sums = _list_pass(CHUNK, False)(row[:CHUNK], 0.0, columns[:CHUNK])
+        for k in range(CHUNK, inputs, stride):
+            last = k + stride >= inputs
+            ws, cs = [1.0, *row[k : k + stride]], [sums, *columns[k : k + stride]]
+            sums = _list_pass(len(ws), relu and last)(ws, b if last else 0.0, cs)
+        return sums
 
     return kernel
 
@@ -151,11 +150,12 @@ def _float_forward(
     ``layers`` comes from ``_float_layers``; the result is one value list per
     output. Layer by layer, the pass drops the input columns that are 0.0 on
     the whole block (keeping one if all are) and runs each row over the live
-    ones as one generated list pass (``_row_kernel``): the weighted inputs
-    added left to right, then the bias, then relu on hidden units. For any
-    block size, the values must be bit-identical to a pass that evaluates one
-    point at a time and adds every weighted input left to right from the
-    integer 0 (not with ``sum``, which compensates floats from Python 3.12).
+    ones through ``_row_kernel``, which chains the generated list pass over
+    rows wider than ``CHUNK``: the weighted inputs added left to right, then
+    the bias, then relu on hidden units. For any block size, the values must
+    be bit-identical to a pass that evaluates one point at a time and adds
+    every weighted input left to right from the integer 0 (not with
+    ``sum``, which compensates floats from Python 3.12).
     Weights are finite (``_float_layers`` refuses the others), so a dead
     column adds ``w*0.0``, a zero; a column holding an inf or a nan is live.
     Adding a zero, like starting from 0, changes a total at most in the sign

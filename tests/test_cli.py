@@ -528,6 +528,11 @@ class TestVerify:
         assert main(["verify", reference_file, "--interval", "1e3", "2000"]) == 2
         assert capsys.readouterr().err.endswith("error: invalid rational '1e3'\n")
 
+    def test_long_interval_end_is_quoted_short(self, reference_file, capsys):
+        assert main(["verify", reference_file, "--interval", "0", "1" * 5000]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: invalid rational {'1' * 40!r}... (5000 characters)\n"
+
     def test_negative_trials_exits_2(self, shallow_file, monkeypatch, capsys):
         def no_oracle(*args):
             raise AssertionError("the oracle ran before the trial count was checked")

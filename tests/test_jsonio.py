@@ -112,6 +112,34 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="not valid JSON"):
             load_network(path)
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\x89PNG\r\n", "$: not UTF-8 text ('utf-8' codec can't decode byte 0x89"),
+            (b'{"p": ' + b"7" * 5000 + b"}", "$: an integer has more than 4300 digits"),
+        ],
+        ids=["not-utf-8", "integer-past-the-digit-limit"],
+    )
+    def test_unreadable_document_names_the_file(self, content, message, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError) as exc:
+            load_network(path)
+        assert str(exc.value).startswith(message)
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {exc.value}\n"
+
+    def test_long_rational_is_quoted_short(self):
+        doc = minimal_doc()
+        doc["output_layer"]["biases"][0] = "9" * 5000
+        with pytest.raises(SchemaError) as exc:
+            network_from_dict(doc)
+        assert str(exc.value) == (
+            f"output_layer.biases[0]: invalid rational {'9' * 40!r}... (5000 characters)"
+        )
+
     def test_top_level_not_object(self):
         with pytest.raises(SchemaError, match=r"\$"):
             network_from_dict([1, 2, 3])

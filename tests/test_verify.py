@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction as Q
@@ -289,7 +290,11 @@ class TestBlockPass:
         assert_bit_identical(net, _grid_points(SamplingConfig((-3, 3), BLOCK + 1), 0, BLOCK))
         assert counts == [1, 1, 2 if bias > 0 else 1]
 
-    @pytest.mark.parametrize("widths", [(64, 3), (5000, 3), (5000,)], ids=["64-3", "5000-3", "5000"])
+    @pytest.mark.parametrize(
+        "widths",
+        [(64, 3), (5000, 3), (5000,), (CHUNK + 1, 3), (2 * CHUNK - 1, 3), (2 * CHUNK,)],
+        ids=["64-3", "5000-3", "5000", "33-3", "63-3", "64"],
+    )
     def test_rows_wider_than_a_chunk_are_bit_identical(self, widths):
         # one expression of 5,000 terms nests too deeply for the compiler;
         # the kernel sums such a row one chunk of inputs at a time
@@ -303,6 +308,47 @@ class TestBlockPass:
         xs = _grid_points(SamplingConfig((Q(-5), Q(3, 7)), samples=BLOCK + 1), 0, BLOCK)
         assert_bit_identical(zero_heavy_network(67, (64, 3)), xs)
         assert CHUNK < counts[1] < 64 and counts[1] % CHUNK
+
+    @pytest.mark.parametrize("relu", [False, True], ids=["output", "hidden"])
+    @pytest.mark.parametrize(
+        "inputs", [CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK + 5]
+    )
+    def test_row_kernel_adds_left_to_right(self, inputs, relu):
+        # every column live, so each pass boundary of a wide row is reached
+        rng = random.Random(inputs)
+        row = [rng.choice([0.0, 1.0, -1.0, rng.uniform(-3, 3)]) for _ in range(inputs)]
+        b = rng.uniform(-1, 1)
+
+        def column(w: float) -> list[float]:
+            # 40 points of far-apart magnitudes, where the order of the
+            # additions shows, and zeros of both signs; 5 with infs and nans;
+            # 5 where every term w*v is -0.0
+            finite = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(40)]
+            finite = [math.copysign(0.0, v) if rng.random() < 0.1 else v for v in finite]
+            specials = [
+                rng.choice([math.inf, -math.inf, math.nan]) if rng.random() < 0.02 else 1.0
+                for _ in range(5)
+            ]
+            return finite + specials + [-1.0 if w == 0.0 else math.copysign(0.0, -w)] * 5
+
+        columns = [column(w) for w in row]
+        expected = []
+        for point in zip(*columns):
+            total = 0
+            for w, v in zip(row, point):
+                total += w * v
+            total += b
+            expected.append(0.0 if relu and total <= 0.0 else total)
+        got = verify._row_kernel(inputs, relu)(row, b, columns)
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
+    def test_at_most_two_passes_per_input_count_are_cached(self):
+        # rows of every width to past three chunks, with and without relu:
+        # a wide row reuses the passes of the narrow ones
+        for inputs in range(1, 3 * CHUNK + 2):
+            for relu in (False, True):
+                verify._row_kernel(inputs, relu)([1.0] * inputs, 0.5, [[1.0]] * inputs)
+        assert verify._list_pass.cache_info().currsize <= 2 * CHUNK
 
     @pytest.mark.parametrize("interval", ODD_INTERVALS)
     def test_integer_grid_is_the_rounded_fraction_grid(self, interval):
