@@ -9,16 +9,16 @@ form of a one-hidden-layer network).
 Exit codes: 0 success, 1 internal failure (a construction or stress
 search that broke its own guarantee), 2 input error (included: a ``build``
 of more than 100,000 knots; an ``analyze`` or ``verify`` of a network with
-a hidden layer of more than 100,000 knots, refused during extraction; and
-an input too large for memory, with one ``error: out of memory`` line and
-no traceback), 3 unattainable architecture, 4 oracle mismatch, 5 wrong
-depth.
+a hidden layer of more than 100,000 knots, refused during extraction; an
+output path that cannot be written, ``build --out`` or ``analyze --csv``,
+with one ``error: <path>: <reason>`` line; and an input too large for
+memory, with one ``error: out of memory`` line and no traceback), 3
+unattainable architecture, 4 oracle mismatch, 5 wrong depth.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import random
@@ -37,7 +37,7 @@ from .bounds import (
 from .canonical import eval_canonical, to_forward_facing
 from .construct import build_tight_network
 from .jsonio import SchemaError, load_network, network_to_dict, save_network
-from .network import KNOT_LIMIT, ExtractionTrace, ScalarInputNetwork, evaluate, extract
+from .network import KNOT_LIMIT, ExtractionTrace, evaluate, extract
 from .rational import Rational, decimal_str, format_ratio, format_rational, parse_rational
 from .verify import SamplingConfig, oracle_agreement, stress_bound
 
@@ -71,33 +71,30 @@ def write_spline_csv(trace: ExtractionTrace, path: str | Path) -> None:
     piece is (S*x + c)/D with int S and c over the trace's denominator D.
     At a knot p/q (reduced, q > 0) the value is (S*p + c*q)/(q*D), and past
     it, with jump d/D, the intercept is c - d*p/q, an exact division.
+
+    Each row is written as one line as soon as it is made, ending in
+    ``\\r\\n`` as RFC 4180 (and ``csv.writer``) has it. No cell is quoted:
+    every cell is an int, a ``format_ratio`` string, a ``decimal_str``
+    string or an infinity, and none holds a comma, a quote or a line break.
     """
     (nums, dens), den = trace.grids[-1], trace.denominator
-
-    def rows():
+    with open(path, "w", newline="") as handle:
+        write = handle.write
+        write(",".join(CSV_COLUMNS) + "\r\n")
         for k, (slope, c, knots, jumps) in enumerate(trace.outputs):
             right = format_ratio(slope, den)
-            yield k, "-inf", "-inf", format_ratio(c, den), decimal_str(c, den), right, right
+            write(f"{k},-inf,-inf,{format_ratio(c, den)},{decimal_str(c, den)},{right},{right}\r\n")
             for i, d in zip(knots, jumps):
                 p, q = nums[i], dens[i]
                 value, value_den = slope * p + c * q, q * den
                 left, slope, c = right, slope + d, c - d * p // q
                 right = format_ratio(slope, den)
-                yield (
-                    k,
-                    format_ratio(p, q),
-                    decimal_str(p, q),
-                    format_ratio(value, value_den),
-                    decimal_str(value, value_den),
-                    left,
-                    right,
+                write(
+                    f"{k},{format_ratio(p, q)},{decimal_str(p, q)},"
+                    f"{format_ratio(value, value_den)},{decimal_str(value, value_den)},"
+                    f"{left},{right}\r\n"
                 )
-            yield k, "+inf", "inf", format_ratio(c, den), decimal_str(c, den), right, right
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows())
+            write(f"{k},+inf,inf,{format_ratio(c, den)},{decimal_str(c, den)},{right},{right}\r\n")
 
 
 class _CliError(Exception):
@@ -106,9 +103,11 @@ class _CliError(Exception):
         self.code = code
 
 
-def _load(path: str) -> ScalarInputNetwork:
+def _on_file(path: str, action, *args):
+    """``action(*args, path)``; a file that cannot be read or written, or a
+    network document that breaks the schema, is an input error naming it."""
     try:
-        return load_network(path)
+        return action(*args, path)
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror}") from exc
     except SchemaError as exc:
@@ -154,7 +153,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         )
     net = build_tight_network(arch)  # raises unless the outputs reach the bound
     if args.out:
-        save_network(net, args.out)
+        _on_file(args.out, save_network, net)
         print(f"wrote {args.out}")
         print(f"knots: {bound} (bound {bound})")
     else:
@@ -164,11 +163,11 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    net = _load(args.network)
+    net = _on_file(args.network, load_network)
     trace = extract(net)
     grids, output_knots = trace.grids, trace.output_knot_indices
     if args.csv:
-        write_spline_csv(trace, args.csv)
+        _on_file(args.csv, write_spline_csv, trace)
     arch = net.architecture
     bound = knot_bound(arch)
     payload = {
@@ -202,7 +201,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    net = _load(args.network)
+    net = _on_file(args.network, load_network)
     interval = (-1, net.widths[0])
     if args.interval:
         interval = tuple(parse_rational(s) for s in args.interval)
@@ -241,7 +240,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_canonicalize(args: argparse.Namespace) -> int:
-    net = _load(args.network)
+    net = _on_file(args.network, load_network)
     if net.depth != 1:
         raise _CliError(
             f"canonicalize needs exactly one hidden layer, network has {net.depth}",

@@ -13,12 +13,14 @@ Schema::
 
 Rationals are reduced ``"num/den"`` strings; plain integers (as strings or
 JSON numbers) are accepted on input. JSON floats are rejected because they
-do not denote exact values.
+do not denote exact values, and so are ``NaN`` and ``Infinity``, which are
+not JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -31,6 +33,12 @@ class SchemaError(ValueError):
     """A network document violates the schema; the message carries the JSON path."""
 
 
+# NaN, Infinity and -Infinity are not JSON: as text, no rational parses
+# them, so each is refused with its JSON path. (json.loads would build a new
+# decoder on every call to take parse_constant.)
+_DECODER = json.JSONDecoder(parse_constant=str)
+
+
 def _fail(path: str, message: str) -> SchemaError:
     return SchemaError(f"{path}: {message}")
 
@@ -41,6 +49,8 @@ def _rational_at(value: Any, path: str) -> Rational:
     if isinstance(value, int):
         return as_rational(value)
     if isinstance(value, float):
+        if not math.isfinite(value):  # a JSON number such as 1e400
+            raise _fail(path, "not finite: write a number this large as a 'num/den' string")
         raise _fail(path, f"floats are not exact; write {value!r} as a 'num/den' string")
     if isinstance(value, str):
         try:
@@ -124,7 +134,7 @@ def network_to_dict(net: ScalarInputNetwork) -> dict:
 
 def load_network(path: str | Path) -> ScalarInputNetwork:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = _DECODER.decode(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"$: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -407,6 +408,24 @@ NO_KNOTS = [Q(-3, 7), Q(3, 7)]
 THREE_KNOTS = [Q(2, 3), Q(-2, 3), 0, Q(1, 6), Q(-5, 9), Q(3, 4)]
 
 
+def integer_knots() -> ScalarInputNetwork:
+    """Knots at -2, 3 and 5, each with q == 1, and integer values."""
+    return to_network([([[1], [1], [-1]], [2, -3, 5]), ([[2, -1, 3]], [1])])
+
+
+def exponent_decimals() -> ScalarInputNetwork:
+    """Knots at 10^-9 and 10^25, output weights 10^400/7 and 10^-400 and
+    bias 10^-15: decimal cells at or past 10^20, and below 10^-6, are
+    written in exponent form."""
+    hidden = ([[1], [10**9]], [-(10**25), -1])
+    return to_network([hidden, ([[Q(BIG, 7), Q(1, BIG)]], [Q(1, 10**15)])])
+
+
+def zero_valued_knots() -> ScalarInputNetwork:
+    """A hat, 0 at its knots 0 and 2 and 1 at its knot 1, flat outside."""
+    return to_network([([[1], [1], [1]], [0, -1, -2]), ([[1, -2, 1]], [0])])
+
+
 class TestSplineCsv:
     """``write_spline_csv`` walks the trace's ints; the ``Fraction`` writer
     kept in ``conftest``, run on ``reference_extract``'s splines, says what
@@ -430,17 +449,82 @@ class TestSplineCsv:
             lambda: ramp_network([NO_KNOTS], [Q(5, 2)]),
             lambda: ramp_network([HALF_THEN_FLAT, NO_KNOTS, THREE_KNOTS], [0, Q(5, 2), Q(-1, 5)]),
             example_tight_network,
+            integer_knots,
+            exponent_decimals,
+            zero_valued_knots,
         ],
-        ids=["intercept-beyond-jump-denominators", "no-knots", "p=3", "reference-network"],
+        ids=[
+            "intercept-beyond-jump-denominators",
+            "no-knots",
+            "p=3",
+            "reference-network",
+            "integer-knots",
+            "exponent-decimals",
+            "zero-valued-knots",
+        ],
     )
     def test_named_cases(self, make, tmp_path):
         assert self.same_as_reference(make(), tmp_path)
+
+    @pytest.mark.parametrize(
+        "make, column, cells",
+        [
+            (integer_knots, "x_rational", ["-2", "3", "5"]),
+            (exponent_decimals, "x_decimal", ["1E-9", "1.0000000000000000000E+25"]),
+            (zero_valued_knots, "value_rational", ["0", "1", "0"]),
+        ],
+        ids=["integer-knots", "exponent-decimals", "zero-valued-knots"],
+    )
+    def test_edge_cases_reach_their_cells(self, make, column, cells, tmp_path):
+        # each edge case writes the cells it is named for, which
+        # test_named_cases compares with the csv module's output
+        path = tmp_path / "splines.csv"
+        cli.write_spline_csv(extract(make()), path)
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row[column] for row in rows[1:-1]] == cells
+
+    def test_reference_network_first_lines(self, tmp_path):
+        # the header and the first ray row, RFC 4180 line ends included
+        path = tmp_path / "splines.csv"
+        cli.write_spline_csv(extract(example_tight_network()), path)
+        assert path.read_bytes().startswith(
+            b"output_index,x_rational,x_decimal,value_rational,value_decimal,"
+            b"left_slope_rational,right_slope_rational\r\n"
+            b"0,-inf,-inf,-17/6,-2.8333333333333333333,-7,-7\r\n"
+        )
 
     def test_writes_without_rational_arithmetic(self, tmp_path, monkeypatch):
         trace = extract(build_tight_network(Architecture((6, 6, 6, 6), output_dim=2)))
         with rational_arithmetic_calls(monkeypatch) as calls:
             cli.write_spline_csv(trace, tmp_path / "splines.csv")
         assert calls == []
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is an input error: one
+    ``error:`` line with the path, exit 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "command, target, code",
+        [
+            (["analyze", "NET", "--csv"], "missing/x.csv", errno.ENOENT),
+            (["analyze", "NET", "--csv"], ".", errno.EISDIR),
+            (["build", "3", "3", "--out"], "missing/n.json", errno.ENOENT),
+        ],
+        ids=["csv-in-missing-directory", "csv-onto-a-directory", "build-out-in-missing-directory"],
+    )
+    def test_exits_2_with_one_error_line(self, command, target, code, reference_file, tmp_path):
+        target = tmp_path / target
+        argv = [reference_file if arg == "NET" else arg for arg in command] + [str(target)]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+        run = subprocess.run(
+            [sys.executable, "-m", "relu_knots.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == f"error: {target}: {os.strerror(code)}\n"
 
 
 BIG = 10**400

@@ -131,6 +131,33 @@ class TestSchemaErrors:
         assert captured.out == ""
         assert captured.err == f"error: {path}: {exc.value}\n"
 
+    @pytest.mark.parametrize(
+        "number, message",
+        [
+            ("NaN", "invalid rational 'NaN'"),
+            ("Infinity", "invalid rational 'Infinity'"),
+            ("-Infinity", "invalid rational '-Infinity'"),
+            ("1e400", "not finite: write a number this large as a 'num/den' string"),
+            ("-1e400", "not finite: write a number this large as a 'num/den' string"),
+        ],
+        ids=["NaN", "Infinity", "-Infinity", "1e400", "-1e400"],
+    )
+    def test_non_finite_number_refused_with_its_path(self, number, message, tmp_path, capsys):
+        # json reads the three literals, which are not JSON, and 1e400 as
+        # the float inf; none of them is a rational, and no message asks for
+        # inf or nan to be written as 'num/den'
+        doc = minimal_doc()
+        doc["hidden_layers"][0]["weights"][1][0] = "SLOT"
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc).replace('"SLOT"', number))
+        with pytest.raises(SchemaError) as exc:
+            load_network(path)
+        assert str(exc.value) == f"hidden_layers[0].weights[1][0]: {message}"
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {exc.value}\n"
+
     def test_long_rational_is_quoted_short(self):
         doc = minimal_doc()
         doc["output_layer"]["biases"][0] = "9" * 5000

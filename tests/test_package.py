@@ -57,6 +57,17 @@ def test_readme_library_snippet_runs():
     exec(compile(blocks[0], "README.md", "exec"), {})
 
 
+def test_readme_csv_header_is_the_writers():
+    # write_spline_csv writes its header line by hand from CSV_COLUMNS, and
+    # README's "CSV export" block shows that line
+    from relu_knots.cli import CSV_COLUMNS
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("### CSV export") :]
+    header = re.search(r"^```\n(.*?)\n^```$", section, re.DOTALL | re.MULTILINE)[1]
+    assert header == ",".join(CSV_COLUMNS)
+
+
 @pytest.mark.parametrize("workload", ["ladder", "random", "crosscheck"])
 def test_benchmark_smoke_run(workload):
     # one traced round reads the trace the way the benchmark does
