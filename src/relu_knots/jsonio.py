@@ -33,9 +33,8 @@ class SchemaError(ValueError):
     """A network document violates the schema; the message carries the JSON path."""
 
 
-# NaN, Infinity and -Infinity are not JSON: as text, no rational parses
-# them, so each is refused with its JSON path. (json.loads would build a new
-# decoder on every call to take parse_constant.)
+# NaN, Infinity and -Infinity are not JSON: read as text, no rational parses
+# them. One decoder, where json.loads with parse_constant builds one per call.
 _DECODER = json.JSONDecoder(parse_constant=str)
 
 
