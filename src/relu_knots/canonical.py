@@ -82,34 +82,32 @@ def to_forward_facing(net: ScalarInputNetwork) -> CanonicalShallowForm:
             f"forward-facing form is defined for one hidden layer, got {net.depth}"
         )
     hidden = net.hidden_layers[0]
-    out = net.output_layer
-    p = out.size
+    # each read of a layer's weights or biases builds its rationals
+    w1 = [w for (w,) in hidden.weights]
+    b1 = hidden.biases
+    w2 = net.output_layer.weights
+    p = len(w2)
 
     line_slope = [ZERO for _ in range(p)]
-    line_intercept = list(out.biases)
+    line_intercept = list(net.output_layer.biases)
     kept: list[tuple[Rational, int]] = []  # (knot location, unit index)
     folded: list[int] = []
-    for j in range(hidden.size):
-        w = hidden.weights[j][0]
-        b = hidden.biases[j]
+    for j, (w, b) in enumerate(zip(w1, b1)):
         if w == 0:
             folded.append(j)
             constant = max(ZERO, b)
             for k in range(p):
-                line_intercept[k] += out.weights[k][j] * constant
+                line_intercept[k] += w2[k][j] * constant
             continue
         if w < 0:
             for k in range(p):
-                line_slope[k] += out.weights[k][j] * w
-                line_intercept[k] += out.weights[k][j] * b
+                line_slope[k] += w2[k][j] * w
+                line_intercept[k] += w2[k][j] * b
         kept.append((-b / w, j))
 
     kept.sort(key=lambda pair: pair[0])  # stable: ties keep unit order
     knots = tuple(x for x, _ in kept)
-    ray_slopes = tuple(
-        tuple(out.weights[k][j] * abs(hidden.weights[j][0]) for _, j in kept)
-        for k in range(p)
-    )
+    ray_slopes = tuple(tuple(row[j] * abs(w1[j]) for _, j in kept) for row in w2)
     return CanonicalShallowForm(
         knot_locations=knots,
         ray_slopes=ray_slopes,

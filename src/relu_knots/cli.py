@@ -11,7 +11,8 @@ search that broke its own guarantee), 2 input error (included: a ``build``
 of more than 100,000 knots; an ``analyze`` or ``verify`` of a network with
 a hidden layer of more than 100,000 knots, refused during extraction; an
 output path that cannot be written, ``build --out`` or ``analyze --csv``,
-with one ``error: <path>: <reason>`` line; and an input too large for
+with one ``error: <path>: <reason>`` line, before any work when its
+directory is missing or is not a directory; and an input too large for
 memory, with one ``error: out of memory`` line and no traceback), 3
 unattainable architecture, 4 oracle mismatch, 5 wrong depth.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import random
 import re
 import sys
@@ -114,6 +116,13 @@ def _on_file(path: str, action, *args):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _output_directory(path: str) -> None:
+    """Raise the ``OSError`` that writing ``path`` would meet when its
+    directory is missing or is not a directory, without touching the file:
+    stat of "<directory>/." fails as the open would."""
+    os.stat(os.path.join(os.path.dirname(path), "."))
+
+
 def cmd_bound(args: argparse.Namespace) -> int:
     arch = Architecture(args.widths, output_dim=args.p)
     report = {
@@ -151,6 +160,8 @@ def cmd_build(args: argparse.Namespace) -> int:
             f"widths {list(arch.widths)} ask for {bound} knots, "
             f"above build's limit of {KNOT_LIMIT}"
         )
+    if args.out:
+        _on_file(args.out, _output_directory)
     net = build_tight_network(arch)  # raises unless the outputs reach the bound
     if args.out:
         _on_file(args.out, save_network, net)
@@ -164,6 +175,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     net = _on_file(args.network, load_network)
+    if args.csv:
+        _on_file(args.csv, _output_directory)
     trace = extract(net)
     grids, output_knots = trace.grids, trace.output_knot_indices
     if args.csv:
@@ -214,7 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "interval": [format_rational(low), format_rational(high)],
         "samples": cfg.samples,
         "detected": len(agreement.detected),
-        "exact": len(agreement.exact),
+        "exact": len(agreement.exact_points),
         "exact_outside_interval": agreement.exact_outside_interval,
         "grid_step": cfg.grid_step,
         "max_location_error": agreement.max_location_error,

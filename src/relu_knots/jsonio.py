@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any
 
 from .network import DenseLayer, ScalarInputNetwork
-from .rational import Rational, as_rational, format_rational, parse_rational
+from .rational import Rational, as_rational, format_ratio, parse_rational
 
 
 class SchemaError(ValueError):
@@ -119,9 +119,10 @@ def network_from_dict(data: Any) -> ScalarInputNetwork:
 
 def network_to_dict(net: ScalarInputNetwork) -> dict:
     def layer_dict(layer: DenseLayer) -> dict:
+        lcd = layer.lcd  # format_ratio reduces each (L*w, L) to w's string
         return {
-            "weights": [[format_rational(w) for w in row] for row in layer.weights],
-            "biases": [format_rational(b) for b in layer.biases],
+            "weights": [[format_ratio(w, lcd) for w in row] for row in layer.scaled_weights],
+            "biases": [format_ratio(b, lcd) for b in layer.scaled_biases],
         }
 
     return {

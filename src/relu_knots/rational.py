@@ -2,10 +2,14 @@
 
 Every value in this package is an exact rational: a ``fractions.Fraction``,
 reduced, arbitrary precision, positive denominator. Where values come by
-the thousand they stay in Python ints: ``evaluate`` and ``eval_canonical``
-compute in ints, ``extract`` keeps every knot as a reduced int pair, the
-CLI's knot reports and spline CSV read those pairs, and ``format_ratio``
-and ``decimal_str`` render an int pair without building a rational.
+the thousand they stay in Python ints: a ``DenseLayer`` holds its weights
+and biases as ints over their least common denominator (``scaled_rows``)
+and builds rationals only when they are read, so ``evaluate``, ``extract``,
+the float oracle and the random stress search read ints; ``evaluate`` and
+``eval_canonical`` compute in ints, ``extract`` keeps every knot as a
+reduced int pair, the CLI's knot reports, spline CSV and network JSON read
+those ints, and ``format_ratio`` and ``decimal_str`` render an int pair
+without building a rational.
 Floats are rejected at the API boundary: knot existence is an equality
 question (is a slope change zero, does a root coincide with a breakpoint)
 and binary rounding would make the answers depend on how the inputs
@@ -56,9 +60,9 @@ def scaled_rows(
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Rows of rationals as rows of ints over one denominator: ``(L, L*rows)``,
     where L is the least common denominator of every entry (1 if none)."""
-    rows = [tuple(row) for row in rows]
-    lcd = math.lcm(*(v.denominator for row in rows for v in row))
-    return lcd, tuple(tuple(v.numerator * (lcd // v.denominator) for v in row) for row in rows)
+    rows = [[v.as_integer_ratio() for v in row] for row in rows]
+    lcd = math.lcm(*[d for row in rows for _, d in row])
+    return lcd, tuple(tuple([n * (lcd // d) for n, d in row]) for row in rows)
 
 
 def parse_rational(text: str) -> Rational:

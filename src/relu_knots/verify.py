@@ -61,9 +61,20 @@ class SamplingConfig:
             )
 
     @property
-    def grid_step(self) -> float:
+    def interval_length(self) -> tuple[int, int]:
+        """high - low as an int pair (n, d) for n/d, d > 0, not reduced."""
         low, high = self.interval
-        return float(high - low) / (self.samples - 1)
+        return (
+            high.numerator * low.denominator - low.numerator * high.denominator,
+            low.denominator * high.denominator,
+        )
+
+    @property
+    def grid_step(self) -> float:
+        """float(high - low) / (samples - 1): the float of the length, as an
+        int division rounds it, divided by the float of samples - 1."""
+        length, den = self.interval_length
+        return length / den / (self.samples - 1)
 
 
 BLOCK = 2048  # grid points per block of the float forward pass
@@ -128,13 +139,19 @@ def _row_kernel(inputs: int, relu: bool) -> Callable[..., list[float]]:
 
 
 def _float_layers(net: ScalarInputNetwork) -> list[tuple[bool, list[list[float]], list[float]]]:
-    """Relu flag, float weights and float biases of each layer, the output layer last."""
+    """Relu flag, float weights and float biases of each layer, the output layer last.
+
+    Each float is (L*w) / L in the layer's integer form: Python rounds an
+    int division correctly, so it is the float nearest w, as ``float(w)``
+    gives it, and one too large raises ``OverflowError`` as that does.
+    """
     layers = []
     for i, layer in enumerate((*net.hidden_layers, net.output_layer), start=1):
         relu = layer is not net.output_layer
+        lcd = layer.lcd
         try:
-            weights = [[float(w) for w in row] for row in layer.weights]
-            biases = [float(b) for b in layer.biases]
+            weights = [[w / lcd for w in row] for row in layer.scaled_weights]
+            biases = [b / lcd for b in layer.scaled_biases]
         except OverflowError:
             name = f"hidden layer {i}" if relu else "output layer"
             raise ValueError(f"{name} has a weight or bias too large for a float") from None
@@ -256,46 +273,54 @@ class AgreementReport:
     """Sampling detections compared against exact extraction, knot by knot.
 
     The report keeps what was observed: the grid (``config``), the
-    detections, the exact knots strictly inside the sampled interval, and
-    the count of the ``exact_outside_interval`` others, those on its end
-    points included, which are not compared. The verdict is derived from
-    them on each read.
+    detections, the exact knots strictly inside the sampled interval, as
+    ascending reduced int pairs (p, q) for p/q with q > 0, and the count of
+    the ``exact_outside_interval`` others, those on its end points included,
+    which are not compared. The verdict is derived from them on each read,
+    in ints.
     """
 
     config: SamplingConfig
     detected: tuple[float, ...]
-    exact: tuple[Rational, ...]
+    exact_points: tuple[tuple[int, int], ...]
     exact_outside_interval: int
+
+    @property
+    def exact(self) -> tuple[Rational, ...]:
+        """The compared exact knots, as rationals built on each read."""
+        return tuple(Rational(p, q) for p, q in self.exact_points)
 
     @property
     def max_location_error(self) -> float | None:
         """The largest distance from an exact knot to its detection; None
         unless the counts match and are nonzero."""
-        if len(self.detected) != len(self.exact) or not self.exact:
+        if len(self.detected) != len(self.exact_points) or not self.exact_points:
             return None
-        return max(abs(d - float(e)) for d, e in zip(self.detected, self.exact))
+        # p / q is an int division, rounded correctly: the float of p/q
+        return max(abs(d - p / q) for d, (p, q) in zip(self.detected, self.exact_points))
 
     @property
     def agree(self) -> bool:
         """Every exact knot detected, each within one grid step."""
         error = self.max_location_error
-        return len(self.detected) == len(self.exact) and (
+        return len(self.detected) == len(self.exact_points) and (
             error is None or error <= self.config.grid_step
         )
 
-    def _gaps_and_steps(self) -> tuple[list[Rational], Rational]:
+    def _gaps_and_steps(self) -> tuple[list[tuple[int, int]], tuple[int, int]]:
         """The gaps between neighbouring exact knots, and ``SEPARATION_STEPS``
-        grid steps, exactly."""
-        low, high = self.config.interval
-        steps = SEPARATION_STEPS * (high - low) / (self.config.samples - 1)
-        return [b - a for a, b in zip(self.exact, self.exact[1:])], steps
+        grid steps, exactly: each an int pair (n, d) for n/d with d > 0."""
+        points = self.exact_points
+        gaps = [(p * s - r * q, q * s) for (r, s), (p, q) in zip(points, points[1:])]
+        width, width_den = self.config.interval_length
+        return gaps, (SEPARATION_STEPS * width, width_den * (self.config.samples - 1))
 
     @property
     def crowded(self) -> int:
         """The exact knots within ``SEPARATION_STEPS`` grid steps of a
         neighbour, which the grid cannot separate."""
-        gaps, steps = self._gaps_and_steps()
-        close = [gap <= steps for gap in gaps]
+        gaps, (steps, steps_den) = self._gaps_and_steps()
+        close = [n * steps_den <= steps * d for n, d in gaps]
         return sum(left or right for left, right in zip([False, *close], [*close, False]))
 
     def summary(self) -> str:
@@ -307,7 +332,7 @@ class AgreementReport:
             else ""
         )
         return (
-            f"{status}: detected {len(self.detected)}, exact {len(self.exact)}"
+            f"{status}: detected {len(self.detected)}, exact {len(self.exact_points)}"
             f"{outside} (grid step {self.config.grid_step:.3g})"
         )
 
@@ -316,14 +341,19 @@ class AgreementReport:
         exact knots are too close for the grid, it names their gap and the
         fewest samples whose grid separates every exact knot."""
         message = "sampling oracle disagrees with exact extraction"
-        gaps, steps = self._gaps_and_steps()
-        gap = min(gaps, default=None)
-        if len(self.detected) == len(self.exact) or gap is None or gap > steps:
+        gaps, (steps, steps_den) = self._gaps_and_steps()
+        if len(self.detected) == len(self.exact_points) or not gaps:
+            return message
+        gap, gap_den = gaps[0]
+        for n, d in gaps[1:]:
+            if n * gap_den < gap * d:
+                gap, gap_den = n, d
+        if gap * steps_den > steps * gap_den:
             return message
         # the fewest n whose step (high - low) / (n - 1) is below the gap
         # divided by SEPARATION_STEPS
-        low, high = self.config.interval
-        samples = int(SEPARATION_STEPS * (high - low) // gap) + 2
+        width, width_den = self.config.interval_length
+        samples = SEPARATION_STEPS * width * gap_den // (width_den * gap) + 2
         separates = (
             f"--samples {samples} or more separates them"
             if samples <= SAMPLE_LIMIT
@@ -331,7 +361,7 @@ class AgreementReport:
         )
         return (
             f"{message}: the grid is too coarse, the smallest gap between exact knots "
-            f"({float(gap):.3g}) is at most three grid steps "
+            f"({gap / gap_den:.3g}) is at most three grid steps "
             f"({SEPARATION_STEPS * self.config.grid_step:.3g}); {separates}"
         )
 
@@ -341,11 +371,19 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
 
     Only the knots strictly inside the interval are compared: the detector
     takes second differences at interior grid points, so it never flags an
-    end point.
+    end point. The knots stay in the trace's int pairs: p/q lies inside
+    (a/b, c/d) when a*q < p*b and p*d < c*q.
     """
     low, high = cfg.interval
-    knots = extract(net).output_knots
-    exact = tuple(x for x in knots if low < x < high)
+    a, b, c, d = low.numerator, low.denominator, high.numerator, high.denominator
+    trace = extract(net)
+    nums, dens = trace.grids[-1]
+    knots = trace.output_knot_indices
+    exact = tuple(
+        (p, q)
+        for p, q in ((nums[k], dens[k]) for k in knots)
+        if a * q < p * b and p * d < c * q
+    )
     detected = tuple(detect_knots_by_sampling(net, cfg))
     return AgreementReport(cfg, detected, exact, len(knots) - len(exact))
 
@@ -416,9 +454,10 @@ def _drawer(
     a ``random.Random``: k = size.bit_length() bits from ``getrandbits``,
     drawn again while not below the size. So a seed gives the networks it
     gave with ``randint`` and leaves ``rng`` in the same state. Each distinct
-    n/d is built once per drawer and shared by the networks it draws; the
-    values go with the drawer, as a table kept for good could grow to
-    (2*max_numerator + 1) * max_denominator of them.
+    n/d is reduced once per drawer, to an int pair shared by the networks it
+    draws, and each layer is built from its ints, so a draw builds no
+    rational; the pairs go with the drawer, as a table kept for good could
+    grow to (2*max_numerator + 1) * max_denominator of them.
     """
     if max_numerator < 0:
         raise ValueError(f"max_numerator must be non-negative, got {max_numerator}")
@@ -427,10 +466,10 @@ def _drawer(
     getrandbits = rng.getrandbits
     numerators = 2 * max_numerator + 1
     n_bits, d_bits = numerators.bit_length(), max_denominator.bit_length()
-    values: dict[int, Rational] = {}
+    values: dict[int, tuple[int, int]] = {}
 
     def layer(rows: int, cols: int) -> DenseLayer:
-        params: list[Rational] = []
+        params: list[tuple[int, int]] = []
         append = params.append
         for _ in range(rows * (cols + 1)):
             n = getrandbits(n_bits)
@@ -443,12 +482,15 @@ def _drawer(
             try:
                 append(values[key])
             except KeyError:
-                values[key] = q = Rational(n - max_numerator, d + 1)
-                append(q)
+                num, den = n - max_numerator, d + 1
+                g = math.gcd(num, den)
+                values[key] = pair = (num // g, den // g)
+                append(pair)
+        lcd = math.lcm(*[den for _, den in params])
+        scaled = [num * (lcd // den) for num, den in params]
         weights = rows * cols
-        return DenseLayer(
-            tuple(tuple(params[k : k + cols]) for k in range(0, weights, cols)),
-            tuple(params[weights:]),
+        return DenseLayer.from_integers(
+            lcd, (scaled[k : k + cols] for k in range(0, weights, cols)), scaled[weights:]
         )
 
     def draw(arch: Architecture) -> ScalarInputNetwork:

@@ -218,6 +218,22 @@ def rational_arithmetic_calls(monkeypatch):
         yield calls
 
 
+@contextlib.contextmanager
+def fractions_built(monkeypatch):
+    """Count, in the one-item list it yields, the ``Fraction``s built
+    inside the block: the calls of ``Fraction.__new__``."""
+    count = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", counted)
+        yield count
+
+
 def reference_spline_csv(splines, path) -> None:
     """The spline CSV computed in ``Fraction``s, the slow path that
     ``cli.write_spline_csv`` must match byte for byte: the knots' values

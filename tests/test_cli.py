@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    fractions_built,
     network_layers,
     rational_arithmetic_calls,
     reference_extract,
@@ -148,23 +149,22 @@ class TestBuild:
         # ints, so each command builds a few Fractions per parameter at most.
         arch = Architecture((5, 5, 5, 5, 5), output_dim=2)
         net, table = str(tmp_path / "net.json"), str(tmp_path / "splines.csv")
-        new = Q.__new__
         counts = []
-
-        def counted(cls, *args, **kwargs):
-            counts[-1] += 1
-            return new(cls, *args, **kwargs)
-
         for argv in (
             ["build", "5", "5", "5", "5", "5", "--p", "2", "--out", net],
             ["analyze", net, "--json"],
             ["analyze", net, "--csv", table],
         ):
-            counts.append(0)
-            with monkeypatch.context() as m:
-                m.setattr(Q, "__new__", counted)
+            with fractions_built(monkeypatch) as built:
                 assert main(argv) == 0
+            counts += built
         assert max(counts) <= 3 * param_count(arch) < knot_bound(arch)
+        # verify's exact side reads the trace's ints too: it builds what
+        # the load builds, and the interval's two ends, and exits 4, as
+        # (5,5,5,5,5) has knots closer than three steps of the default grid
+        with fractions_built(monkeypatch) as built:
+            assert main(["verify", net, "--json"]) == 4
+        assert built == [counts[1] + 2] == [param_count(arch) + 2]
 
     def test_stdout_json_when_no_out(self, capsys):
         assert main(["build", "4"]) == 0
@@ -525,6 +525,44 @@ class TestUnwritableOutput:
         assert run.returncode == 2
         assert run.stdout == ""
         assert run.stderr == f"error: {target}: {os.strerror(code)}\n"
+
+    @pytest.mark.parametrize(
+        "target, code",
+        [("missing/n.json", errno.ENOENT), ("a-file/n.json", errno.ENOTDIR)],
+        ids=["missing-directory", "file-as-directory"],
+    )
+    def test_build_refused_before_building(self, target, code, tmp_path, monkeypatch, capsys):
+        def no_build(arch):
+            raise AssertionError("built a network for an output it cannot write")
+
+        monkeypatch.setattr(cli, "build_tight_network", no_build)
+        (tmp_path / "a-file").write_text("")
+        target = tmp_path / target
+        assert main(["build", "9", "9", "9", "9", "9", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {target}: {os.strerror(code)}\n"
+        assert not target.exists() and (tmp_path / "a-file").read_text() == ""
+
+    @pytest.mark.parametrize(
+        "target, code",
+        [("missing/x.csv", errno.ENOENT), ("a-file/x.csv", errno.ENOTDIR)],
+        ids=["missing-directory", "file-as-directory"],
+    )
+    def test_csv_refused_before_extracting(
+        self, target, code, reference_file, tmp_path, monkeypatch, capsys
+    ):
+        def no_extract(net):
+            raise AssertionError("extracted for an output it cannot write")
+
+        monkeypatch.setattr(cli, "extract", no_extract)
+        (tmp_path / "a-file").write_text("")
+        target = tmp_path / target
+        assert main(["analyze", reference_file, "--csv", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {target}: {os.strerror(code)}\n"
+        assert not target.exists() and (tmp_path / "a-file").read_text() == ""
 
 
 BIG = 10**400

@@ -96,19 +96,91 @@ class TestEvaluateAgainstReference:
         assert got == plain_forward(layers[:-1], layers[-1], x)
         assert all(isinstance(y, Rational) for y in got)
 
-    def test_integer_form_is_invisible(self, tmp_path):
-        net = example_tight_network()
-        layers = (*net.hidden_layers, net.output_layer)
-        twins = [DenseLayer(layer.weights, layer.biases) for layer in layers]
-        before = [(hash(layer), repr(layer)) for layer in layers]
-        evaluate(net, Q(5, 7))
-        for layer, twin, (digest, text) in zip(layers, twins, before):
-            assert layer._integer_form is not None and twin._integer_form is None
-            assert layer == twin and twin == layer
-            assert hash(layer) == digest == hash(twin)
-            assert repr(layer) == text == repr(twin)
-        save_network(net, tmp_path / "net.json")
-        assert load_network(tmp_path / "net.json") == net
+
+
+# parameters up to 10^6 in size over denominators up to 10^3
+wide_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**3)
+
+
+class TestDenseLayer:
+    # one layer's parameters made four ways: as Fractions, as ints where
+    # they are whole, as "n/d" strings (not reduced), and in the int
+    # constructor over twice their least common denominator
+    WAYS = {
+        "whole": (
+            (((Q(2),), (Q(-3),), (Q(0),)), (Q(5), Q(0), Q(-1))),
+            (((2,), (-3,), (0,)), (5, 0, -1)),
+            ((("4/2",), ("-3",), ("0/7",)), ("5", "0", "-2/2")),
+            (2, ((4,), (-6,), (0,)), (10, 0, -2)),
+        ),
+        "rational": (
+            (((Q(3, 2),), (Q(-4),), (Q(0),)), (Q(1, 3), Q(-7, 6), Q(2))),
+            (((Q(3, 2),), (-4,), (0,)), (Q(1, 3), Q(-7, 6), 2)),
+            ((("3/2",), ("-8/2",), ("0",)), ("2/6", "-7/6", "4/2")),
+            (12, ((18,), (-48,), (0,)), (4, -14, 24)),
+        ),
+    }
+
+    @pytest.mark.parametrize("ways", WAYS.values(), ids=WAYS.keys())
+    def test_four_ways_make_one_layer(self, ways, tmp_path):
+        *made, (lcd, weights, biases) = ways
+        layers = [DenseLayer(w, b) for w, b in made]
+        layers.append(DenseLayer.from_integers(lcd, weights, biases))
+        output = DenseLayer(((1, -1, Q(1, 2)),), (0,))
+        first = layers[0]
+        for k, layer in enumerate(layers):
+            assert layer == first and first == layer
+            assert hash(layer) == hash(first)
+            assert repr(layer) == repr(first)
+            assert layer.weights == made[0][0] and layer.biases == made[0][1]
+            save_network(ScalarInputNetwork((layer,), output), tmp_path / f"{k}.json")
+        written = {(tmp_path / f"{k}.json").read_bytes() for k in range(len(layers))}
+        assert len(written) == 1
+        assert load_network(tmp_path / "0.json").hidden_layers[0] == first
+        assert repr(first).startswith("DenseLayer(weights=((Fraction(")
+
+    def test_held_in_lowest_terms(self):
+        layer = DenseLayer.from_integers(12, ((18,), (-48,), (0,)), (4, -14, 24))
+        assert (layer.lcd, layer.scaled_weights, layer.scaled_biases) == (
+            6, ((9,), (-24,), (0,)), (2, -7, 12)
+        )
+        assert DenseLayer(((0,),), (0,)).lcd == 1
+        assert layer != DenseLayer.from_integers(6, ((9,), (-24,), (0,)), (2, -7, 11))
+
+    @given(layers=network_layers(), scale=st.integers(1, 10**6))
+    def test_from_integers_reduces(self, layers, scale):
+        for weights, biases in layers:
+            layer = DenseLayer(weights, biases)
+            lcd = layer.lcd * scale
+            rows = [[w * scale for w in row] for row in layer.scaled_weights]
+            assert DenseLayer.from_integers(
+                lcd, rows, [b * scale for b in layer.scaled_biases]
+            ) == layer
+
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        data=st.data(),
+    )
+    def test_round_trip_through_rationals(self, shape, data):
+        rows, cols = shape
+        weights = data.draw(
+            st.lists(st.lists(wide_rationals, min_size=cols, max_size=cols),
+                     min_size=rows, max_size=rows)
+        )
+        biases = data.draw(st.lists(wide_rationals, min_size=rows, max_size=rows))
+        layer = DenseLayer(weights, biases)
+        assert DenseLayer(layer.weights, layer.biases) == layer
+        assert layer.weights == tuple(map(tuple, weights)) and layer.biases == tuple(biases)
+
+    def test_int_constructor_checks_its_input(self):
+        with pytest.raises(ValueError, match="lcd must be at least 1"):
+            DenseLayer.from_integers(0, ((1,),), (0,))
+        with pytest.raises(ValueError, match="same length"):
+            DenseLayer.from_integers(1, ((1, 2), (1,)), (0, 0))
+        with pytest.raises(ValueError, match="does not match unit count"):
+            DenseLayer.from_integers(1, ((1,),), (0, 1))
+        with pytest.raises(ValueError, match="at least one unit"):
+            DenseLayer.from_integers(1, (), ())
 
 
 class TestExtract:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     affine_combine,
+    fractions_built,
     network_layers,
     reference_layer,
     reference_random_network,
@@ -38,6 +39,7 @@ from relu_knots.verify import (
     BLOCK,
     CHUNK,
     SAMPLE_LIMIT,
+    SEPARATION_STEPS,
     SLOPE_CHANGE_TOLERANCE,
     _drawer,
     _float_forward,
@@ -386,6 +388,51 @@ class TestOracleReport:
         assert 0 < report.exact[0] and report.exact[-1] < 1
         assert report.agree
 
+    def test_exact_side_builds_no_rational(self, monkeypatch):
+        # 7,775 knots, some closer than three steps of the default grid
+        net = build_tight_network(Architecture((5, 5, 5, 5, 5), output_dim=2))
+        cfg = SamplingConfig((-1, 5))
+        with fractions_built(monkeypatch) as built:
+            report = oracle_agreement(net, cfg)
+            seen = (report.agree, report.crowded, report.summary(), report.mismatch())
+        assert built == [0]
+        assert seen[:2] == (False, 139)
+        assert seen[3].endswith("(6.26e-05) is at most three grid steps (0.00018); "
+                                "--samples 287498 or more separates them")
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_verdict_matches_rationals(self, seed):
+        # the exact side against the same questions asked in Fractions
+        rng = random.Random(seed)
+        widths = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
+        net = random_network(rng, Architecture(widths, output_dim=2))
+        low = Q(rng.randint(-200, 50), rng.randint(1, 9))
+        high = low + Q(rng.randint(1, 400), rng.randint(1, 9))
+        cfg = SamplingConfig((low, high), samples=rng.choice([3, 11, 101, 1001]))
+        report = oracle_agreement(net, cfg)
+        exact = tuple(x for x in extract(net).output_knots if low < x < high)
+        assert report.exact == exact
+        steps = SEPARATION_STEPS * (high - low) / (cfg.samples - 1)
+        gaps = [b - a for a, b in zip(exact, exact[1:])]
+        close = [gap <= steps for gap in gaps]
+        assert report.crowded == sum(
+            left or right for left, right in zip([False, *close], [*close, False])
+        )
+        assert cfg.grid_step == float(high - low) / (cfg.samples - 1)
+        if report.max_location_error is not None:
+            assert report.max_location_error == max(
+                abs(d - float(e)) for d, e in zip(report.detected, exact)
+            )
+        # with no detection the counts differ wherever there is a knot
+        gap = min(gaps, default=None)
+        message = verify.AgreementReport(cfg, (), report.exact_points, 0).mismatch()
+        if gap is None or gap > steps:
+            assert message == "sampling oracle disagrees with exact extraction"
+        else:
+            samples = int(SEPARATION_STEPS * (high - low) // gap) + 2
+            assert f"exact knots ({float(gap):.3g}) is at most" in message
+            assert f" {samples} " in message or "no sample count" in message
+
 
 class TestCheckSawtooth:
     def wave(self, n1: int = 8, offset: Q = Q(-9, 4)) -> LinearSpline:
@@ -502,18 +549,9 @@ class TestStressBound:
             random_network(rng, Architecture((2, 2)), *bounds)
         assert rng.getstate() == state
 
-    def test_builds_one_rational_per_distinct_parameter(self, monkeypatch):
-        # 201 numerators over 10 denominators give 2,010 distinct pairs; a
-        # search of 100 networks of 250 parameters builds each at most once
-        new = Q.__new__
-        count = 0
-
-        def counted(cls, *args, **kwargs):
-            nonlocal count
-            count += 1
-            return new(cls, *args, **kwargs)
-
-        with monkeypatch.context() as m:
-            m.setattr(Q, "__new__", counted)
+    def test_stress_search_builds_no_rational(self, monkeypatch):
+        # the drawer reduces each n/d to an int pair and builds each layer
+        # from its ints; extraction counts knots in ints
+        with fractions_built(monkeypatch) as built:
             stress_bound(Architecture((8, 8, 8, 8), output_dim=2), 100, 3)
-        assert count <= 2_010
+        assert built == [0]
