@@ -378,12 +378,9 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
     a, b, c, d = low.numerator, low.denominator, high.numerator, high.denominator
     trace = extract(net)
     nums, dens = trace.grids[-1]
-    knots = trace.output_knot_indices
-    exact = tuple(
-        (p, q)
-        for p, q in ((nums[k], dens[k]) for k in knots)
-        if a * q < p * b and p * d < c * q
-    )
+    knots = [(nums[k], dens[k]) for k in trace.output_knot_indices]
+    del trace, nums, dens  # only the knots are kept while sampling
+    exact = tuple((p, q) for p, q in knots if a * q < p * b and p * d < c * q)
     detected = tuple(detect_knots_by_sampling(net, cfg))
     return AgreementReport(cfg, detected, exact, len(knots) - len(exact))
 
