@@ -97,7 +97,6 @@ class TestEvaluateAgainstReference:
         assert all(isinstance(y, Rational) for y in got)
 
 
-
 # parameters up to 10^6 in size over denominators up to 10^3
 wide_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**3)
 
