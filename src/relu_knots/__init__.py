@@ -31,9 +31,7 @@ from .spline import LinearSpline
 from .verify import (
     AgreementReport,
     SamplingConfig,
-    SawtoothVerdict,
     StressReport,
-    check_sawtooth,
     detect_knots_by_sampling,
     oracle_agreement,
     random_network,
@@ -51,7 +49,6 @@ __all__ = [
     "LinearSpline",
     "Rational",
     "SamplingConfig",
-    "SawtoothVerdict",
     "SawtoothWitness",
     "ScalarInputNetwork",
     "SchemaError",
@@ -63,7 +60,6 @@ __all__ = [
     "build_first_layer_sawtooth",
     "build_inductive_layer",
     "build_tight_network",
-    "check_sawtooth",
     "detect_knots_by_sampling",
     "eval_canonical",
     "evaluate",

@@ -8,19 +8,22 @@ form of a one-hidden-layer network).
 
 Exit codes: 0 success, 1 internal failure (a construction or stress
 search that broke its own guarantee), 2 input error (included: a ``build``
-of more than 100,000 knots; an ``analyze`` or ``verify`` of a network with
+of more than 100,000 knots, or whose p outputs hold more than 200,000
+knots in all, p x bound; an ``analyze`` or ``verify`` of a network with
 a hidden layer of more than 100,000 knots, refused during extraction; an
 output path that cannot be written, ``build --out`` or ``analyze --csv``,
 with one ``error: <path>: <reason>`` line, before any work when its
-directory is missing or is not a directory; and an input too large for
-memory, with one ``error: out of memory`` line and no traceback), 3
-unattainable architecture, 4 oracle mismatch, 5 wrong depth.
+directory is missing or is not a directory, or the path is a directory;
+and an input too large for memory, with one ``error: out of memory`` line
+and no traceback), 3 unattainable architecture, 4 oracle mismatch, 5 wrong
+depth.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import random
@@ -118,9 +121,12 @@ def _on_file(path: str, action, *args):
 
 def _output_directory(path: str) -> None:
     """Raise the ``OSError`` that writing ``path`` would meet when its
-    directory is missing or is not a directory, without touching the file:
-    stat of "<directory>/." fails as the open would."""
+    directory is missing or is not a directory, or when it is a directory,
+    without touching the file: stat of "<directory>/." fails as the open
+    would."""
     os.stat(os.path.join(os.path.dirname(path), "."))
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -159,6 +165,12 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise ValueError(
             f"widths {list(arch.widths)} ask for {bound} knots, "
             f"above build's limit of {KNOT_LIMIT}"
+        )
+    if arch.output_dim * bound > 2 * KNOT_LIMIT:
+        raise ValueError(
+            f"{arch.output_dim} outputs at bound {bound} ask for "
+            f"{arch.output_dim * bound} knots, above build's limit of "
+            f"{2 * KNOT_LIMIT} over all outputs"
         )
     if args.out:
         _on_file(args.out, _output_directory)

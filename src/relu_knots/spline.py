@@ -14,8 +14,8 @@ i.e. a first-derivative discontinuity, and two splines are equal as
 dataclasses exactly when they are equal as functions.
 
 ``extract`` computes in ints and builds splines only on request
-(``ExtractionTrace.output_splines``); ``check_sawtooth`` and the tests read
-them. A line is ``LinearSpline(slope, intercept)``.
+(``ExtractionTrace.output_splines``) for the tests and the benchmark to read.
+A line is ``LinearSpline(slope, intercept)``.
 All values are exact rationals (see ``rational``); nothing here touches floats.
 """
 
@@ -87,15 +87,3 @@ class LinearSpline:
             slope += delta
             prev_x = x
         return values
-
-    def knot_value_range(self) -> tuple[Rational, Rational]:
-        """Exact (min, max) of the function over its knot locations.
-
-        For a piecewise-linear function the bounded oscillation attains its
-        extremes at knots, so this is the oscillation range once the two
-        infinite rays are excluded.
-        """
-        values = self.knot_values()
-        if not values:
-            raise ValueError("knot_value_range undefined for a spline with no knots")
-        return min(values), max(values)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from .bounds import Architecture, knot_bound, tightness_eligibility
 from .network import DenseLayer, ScalarInputNetwork, extract
 from .rational import Rational, as_rational
-from .spline import LinearSpline
 
 SLOPE_CHANGE_TOLERANCE = 1e-6  # relative threshold of the sampling detector
 SAMPLE_LIMIT = 10_000_001  # largest grid: its float values take about 80 MB per output
@@ -383,49 +382,6 @@ def oracle_agreement(net: ScalarInputNetwork, cfg: SamplingConfig) -> AgreementR
     exact = tuple((p, q) for p, q in knots if a * q < p * b and p * d < c * q)
     detected = tuple(detect_knots_by_sampling(net, cfg))
     return AgreementReport(cfg, detected, exact, len(knots) - len(exact))
-
-
-@dataclass(frozen=True, slots=True)
-class SawtoothVerdict:
-    """Structural sawtooth checks on a spline, all computed exactly."""
-
-    alternating_slopes: bool
-    minima_equal: bool
-    maxima_equal: bool
-    oscillation_range: tuple[Rational, Rational]
-
-    @property
-    def ok(self) -> bool:
-        return self.alternating_slopes and self.minima_equal and self.maxima_equal
-
-
-def check_sawtooth(f: LinearSpline) -> SawtoothVerdict:
-    """Assert the three sawtooth properties: strict slope alternation across
-    every piece including both infinite rays, all interior valleys level, and
-    all interior peaks level."""
-    if len(f.breakpoints) < 2:
-        raise ValueError("a sawtooth needs at least 2 knots to oscillate")
-    slopes = f.piece_slopes()
-    alternating = all(
-        s != 0 and t != 0 and (s > 0) != (t > 0) for s, t in zip(slopes, slopes[1:])
-    )
-    values = f.knot_values()
-    minima = [
-        v
-        for v, left, right in zip(values, slopes, slopes[1:])
-        if left < 0 < right
-    ]
-    maxima = [
-        v
-        for v, left, right in zip(values, slopes, slopes[1:])
-        if left > 0 > right
-    ]
-    return SawtoothVerdict(
-        alternating_slopes=alternating,
-        minima_equal=len(set(minima)) <= 1,
-        maxima_equal=len(set(maxima)) <= 1,
-        oscillation_range=f.knot_value_range(),
-    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -171,6 +171,18 @@ def combination(witness, units) -> LinearSpline:
     return affine_combine(zip(witness.combination_weights, units))
 
 
+def sawtooth_range(f: LinearSpline):
+    """(valley, peak) when ``f`` is a sawtooth, else None: slopes of opposite
+    signs on every two neighbouring pieces (both rays included), so each
+    knot is a strict valley or peak and neighbouring knot values differ, and
+    knots at exactly two values, so at least 2 knots, the valleys level and
+    the peaks level."""
+    slopes, values = f.piece_slopes(), set(f.knot_values())
+    if len(values) != 2 or any(s * t >= 0 for s, t in zip(slopes, slopes[1:])):
+        return None
+    return min(values), max(values)
+
+
 def reference_layer(layer, units=(LinearSpline(1, 0),)) -> list[LinearSpline]:
     """The spline of every unit of ``layer``, one unit at a time: relu of
     the affine combination of ``units``, by default the input, the line x."""

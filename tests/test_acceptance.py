@@ -10,11 +10,10 @@ import random
 import time
 from fractions import Fraction as Q
 
-from conftest import affine_combine, combination, reference_layer
+from conftest import affine_combine, combination, reference_layer, sawtooth_range
 from relu_knots import (
     Architecture,
     build_tight_network,
-    check_sawtooth,
     eval_canonical,
     evaluate,
     extract,
@@ -163,7 +162,7 @@ def test_criterion_6_sawtooth_invariants():
             [(a / 2, f) for a, f in zip(witness.combination_weights, units)]
         )
         expected = [Q(-1)] + [Q(1, 2) if i % 2 == 0 else Q(-1, 2) for i in range(n1)]
-        here = wave.piece_slopes() == expected and check_sawtooth(wave).ok
+        here = wave.piece_slopes() == expected and sawtooth_range(wave) is not None
         ok &= here
         details.append(f"n1={n1}:{'ok' if here else 'BAD'}")
     # inductive layers: consecutive knot values move by exactly 1/(2n+1)
@@ -176,7 +175,7 @@ def test_criterion_6_sawtooth_invariants():
         step = Q(1, 2 * n_i + 1)
         here = (
             all(abs(b - a) == step for a, b in zip(values, values[1:]))
-            and check_sawtooth(wave).ok
+            and sawtooth_range(wave) is not None
         )
         ok &= here
         details.append(f"n_i={n_i}:{'ok' if here else 'BAD'}")

@@ -201,6 +201,19 @@ class TestBuild:
             "above build's limit of 100000\n"
         )
 
+    def test_output_knots_above_limit_exit_2_before_building(self, monkeypatch, capsys):
+        def no_build(arch):
+            raise AssertionError("built a network above the output knot limit")
+
+        monkeypatch.setattr(cli, "build_tight_network", no_build)
+        assert main(["build", "3", "--p", "1000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 1000000 outputs at bound 3 ask for 3000000 knots, "
+            "above build's limit of 200000 over all outputs\n"
+        )
+
     def test_unit_final_layer_exits_3(self, capsys):
         assert main(["build", "3", "1"]) == 3
         assert "final layer" in capsys.readouterr().err
@@ -528,8 +541,12 @@ class TestUnwritableOutput:
 
     @pytest.mark.parametrize(
         "target, code",
-        [("missing/n.json", errno.ENOENT), ("a-file/n.json", errno.ENOTDIR)],
-        ids=["missing-directory", "file-as-directory"],
+        [
+            ("missing/n.json", errno.ENOENT),
+            ("a-file/n.json", errno.ENOTDIR),
+            ("a-directory", errno.EISDIR),
+        ],
+        ids=["missing-directory", "file-as-directory", "is-a-directory"],
     )
     def test_build_refused_before_building(self, target, code, tmp_path, monkeypatch, capsys):
         def no_build(arch):
@@ -537,17 +554,22 @@ class TestUnwritableOutput:
 
         monkeypatch.setattr(cli, "build_tight_network", no_build)
         (tmp_path / "a-file").write_text("")
+        (tmp_path / "a-directory").mkdir()
         target = tmp_path / target
         assert main(["build", "9", "9", "9", "9", "9", "--out", str(target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {target}: {os.strerror(code)}\n"
-        assert not target.exists() and (tmp_path / "a-file").read_text() == ""
+        assert not target.is_file() and (tmp_path / "a-file").read_text() == ""
 
     @pytest.mark.parametrize(
         "target, code",
-        [("missing/x.csv", errno.ENOENT), ("a-file/x.csv", errno.ENOTDIR)],
-        ids=["missing-directory", "file-as-directory"],
+        [
+            ("missing/x.csv", errno.ENOENT),
+            ("a-file/x.csv", errno.ENOTDIR),
+            ("a-directory", errno.EISDIR),
+        ],
+        ids=["missing-directory", "file-as-directory", "is-a-directory"],
     )
     def test_csv_refused_before_extracting(
         self, target, code, reference_file, tmp_path, monkeypatch, capsys
@@ -557,12 +579,13 @@ class TestUnwritableOutput:
 
         monkeypatch.setattr(cli, "extract", no_extract)
         (tmp_path / "a-file").write_text("")
+        (tmp_path / "a-directory").mkdir()
         target = tmp_path / target
         assert main(["analyze", reference_file, "--csv", str(target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {target}: {os.strerror(code)}\n"
-        assert not target.exists() and (tmp_path / "a-file").read_text() == ""
+        assert not target.is_file() and (tmp_path / "a-file").read_text() == ""
 
 
 BIG = 10**400

@@ -10,12 +10,14 @@ from conftest import (
     knot_union,
     reference_layer,
     reference_unit_splines,
+    relu,
+    sawtooth_range,
 )
 from relu_knots import (
     Architecture,
     DenseLayer,
+    LinearSpline,
     ScalarInputNetwork,
-    check_sawtooth,
     extract,
     recurrence_step,
 )
@@ -49,13 +51,13 @@ class TestFirstLayerSawtooth:
         wave = combination(witness, reference_layer(layer))
         assert wave.knots() == [Q(j) for j in range(8)]
         assert wave.piece_slopes() == [Q(-2)] + [Q(1) if i % 2 == 0 else Q(-1) for i in range(8)]
-        assert check_sawtooth(wave).ok
+        assert sawtooth_range(wave) is not None
 
     def test_six_units_matches_reference_layer(self):
         layer, witness = build_first_layer_sawtooth(6)
         assert layer == REFERENCE.hidden_layers[0]
         wave = combination(witness, reference_layer(layer))
-        assert wave.knot_value_range() == (4, 5)
+        assert sawtooth_range(wave) == (4, 5)
         assert witness.oscillation_range == (4, 5)
 
     def test_three_units_minimal(self):
@@ -83,6 +85,30 @@ class TestSawtoothWitness:
             SawtoothWitness((3, -2, 2), oscillation_range)
 
 
+class TestSawtoothRange:
+    @staticmethod
+    def wave(tilt: Q = Q(0)) -> LinearSpline:
+        """The 8-unit first-layer wave at half weights, offset by -9/4, with
+        ``tilt`` added to its second weight."""
+        layer, witness = build_first_layer_sawtooth(8)
+        weights = [a / 2 for a in witness.combination_weights]
+        weights[1] += tilt
+        return affine_combine(zip(weights, reference_layer(layer)), Q(-9, 4))
+
+    def test_passes_on_alternating_wave(self):
+        assert sawtooth_range(self.wave()) == (Q(-1, 4), Q(1, 4))
+
+    def test_needs_two_knots(self):
+        assert sawtooth_range(relu(LinearSpline(1, 0))) is None
+
+    def test_perturbed_weight_breaks_level_minima(self):
+        wave = self.wave(Q(1, 100))
+        slopes = wave.piece_slopes()
+        # tiny tilt keeps signs alternating
+        assert all(s * t < 0 for s, t in zip(slopes, slopes[1:]))
+        assert sawtooth_range(wave) is None
+
+
 def build_prefix(widths: tuple[int, ...]):
     """First layer plus inductive layers; returns (hidden_layers, witness, unit splines)."""
     first, witness = build_first_layer_sawtooth(widths[0])
@@ -106,7 +132,7 @@ class TestInductiveLayer:
         _, witness, units = build_prefix((6, 3))
         wave = combination(witness, units)
         assert len(wave.knots()) == 27 == recurrence_step(6, 3)
-        assert check_sawtooth(wave).ok
+        assert sawtooth_range(wave) is not None
 
     @pytest.mark.parametrize("n_i", [3, 5, 7])
     def test_vertical_displacements(self, n_i):
@@ -199,4 +225,4 @@ class TestExampleNetwork:
         units = reference_unit_splines(net)
         g3 = affine_combine(zip(net.hidden_layers[2].weights[0], units[1]))
         assert len(g3.knots()) == 27
-        assert check_sawtooth(g3).ok
+        assert sawtooth_range(g3) is not None

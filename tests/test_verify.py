@@ -10,12 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    affine_combine,
     fractions_built,
     network_layers,
-    reference_layer,
     reference_random_network,
-    relu,
     single_unit_net,
     to_network,
 )
@@ -25,7 +22,6 @@ from relu_knots import (
     ScalarInputNetwork,
     SamplingConfig,
     build_tight_network,
-    check_sawtooth,
     detect_knots_by_sampling,
     extract,
     knot_bound,
@@ -33,8 +29,7 @@ from relu_knots import (
     tightness_eligibility,
 )
 from relu_knots import verify
-from relu_knots.construct import build_first_layer_sawtooth, example_tight_network
-from relu_knots.spline import LinearSpline
+from relu_knots.construct import example_tight_network
 from relu_knots.verify import (
     BLOCK,
     CHUNK,
@@ -432,34 +427,6 @@ class TestOracleReport:
             samples = int(SEPARATION_STEPS * (high - low) // gap) + 2
             assert f"exact knots ({float(gap):.3g}) is at most" in message
             assert f" {samples} " in message or "no sample count" in message
-
-
-class TestCheckSawtooth:
-    def wave(self, n1: int = 8, offset: Q = Q(-9, 4)) -> LinearSpline:
-        layer, witness = build_first_layer_sawtooth(n1)
-        units = reference_layer(layer)
-        terms = [(a / 2, f) for a, f in zip(witness.combination_weights, units)]
-        return affine_combine(terms, offset)
-
-    def test_passes_on_alternating_wave(self):
-        verdict = check_sawtooth(self.wave())
-        assert verdict.ok
-        assert verdict.oscillation_range == (Q(-1, 4), Q(1, 4))
-
-    def test_needs_two_knots(self):
-        with pytest.raises(ValueError):
-            check_sawtooth(relu(LinearSpline(1, 0)))
-
-    def test_perturbed_weight_breaks_level_minima(self):
-        layer, witness = build_first_layer_sawtooth(8)
-        units = reference_layer(layer)
-        weights = [a / 2 for a in witness.combination_weights]
-        weights[1] += Q(1, 100)
-        wave = affine_combine(zip(weights, units), Q(-9, 4))
-        verdict = check_sawtooth(wave)
-        assert verdict.alternating_slopes  # tiny tilt keeps signs alternating
-        assert not verdict.minima_equal
-        assert not verdict.ok
 
 
 class TestStressBound:
