@@ -12,8 +12,9 @@ of more than 100,000 knots, or whose p outputs hold more than 200,000
 knots in all, p x bound; an ``analyze`` or ``verify`` of a network with
 a hidden layer of more than 100,000 knots, refused during extraction; an
 output path that cannot be written, ``build --out`` or ``analyze --csv``,
-with one ``error: <path>: <reason>`` line, before any work when its
-directory is missing or is not a directory, or the path is a directory;
+with one ``error: <path>: <reason>`` line, before any work when it is
+empty, its directory is missing or is not a directory, or the path is a
+directory;
 and an input too large for memory, with one ``error: out of memory`` line
 and no traceback), 3 unattainable architecture, 4 oracle mismatch, 5 wrong
 depth.
@@ -120,10 +121,12 @@ def _on_file(path: str, action, *args):
 
 
 def _output_directory(path: str) -> None:
-    """Raise the ``OSError`` that writing ``path`` would meet when its
-    directory is missing or is not a directory, or when it is a directory,
-    without touching the file: stat of "<directory>/." fails as the open
-    would."""
+    """Raise the ``OSError`` that writing ``path`` would meet when it is
+    empty, when its directory is missing or is not a directory, or when it
+    is a directory, without touching the file: stat of "<directory>/."
+    fails as the open would."""
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     os.stat(os.path.join(os.path.dirname(path), "."))
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -172,10 +175,10 @@ def cmd_build(args: argparse.Namespace) -> int:
             f"{arch.output_dim * bound} knots, above build's limit of "
             f"{2 * KNOT_LIMIT} over all outputs"
         )
-    if args.out:
+    if args.out is not None:
         _on_file(args.out, _output_directory)
     net = build_tight_network(arch)  # raises unless the outputs reach the bound
-    if args.out:
+    if args.out is not None:
         _on_file(args.out, save_network, net)
         print(f"wrote {args.out}")
         print(f"knots: {bound} (bound {bound})")
@@ -187,11 +190,11 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     net = _on_file(args.network, load_network)
-    if args.csv:
+    if args.csv is not None:
         _on_file(args.csv, _output_directory)
     trace = extract(net)
     grids, output_knots = trace.grids, trace.output_knot_indices
-    if args.csv:
+    if args.csv is not None:
         _on_file(args.csv, write_spline_csv, trace)
     arch = net.architecture
     bound = knot_bound(arch)
@@ -220,7 +223,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             for i, layer in enumerate(payload["per_layer_knots"], start=1):
                 print(f"layer {i} knots: {layer}")
             print(f"output knot locations: {payload['output_knots']}")
-        if args.csv:
+        if args.csv is not None:
             print(f"wrote {args.csv}")
     return EXIT_OK
 

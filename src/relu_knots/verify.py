@@ -396,21 +396,26 @@ class StressReport:
     note: str = field(default="randomized search: evidence, not proof")
 
 
-def _drawer(
-    rng: random.Random, max_numerator: int, max_denominator: int
-) -> Callable[[Architecture], ScalarInputNetwork]:
-    """A function that draws, at each call, a network of the given shape from ``rng``.
+def random_network(
+    rng: random.Random,
+    arch: Architecture,
+    max_numerator: int = MAX_NUMERATOR,
+    max_denominator: int = MAX_DENOMINATOR,
+) -> ScalarInputNetwork:
+    """Network with seeded random rational parameters for the given shape.
 
     Each parameter is n/d with n uniform on [-max_numerator, max_numerator],
     then d uniform on [1, max_denominator]; weights come row by row, then
     biases, layer by layer. Each index is drawn as ``randint`` draws it from
     a ``random.Random``: k = size.bit_length() bits from ``getrandbits``,
     drawn again while not below the size. So a seed gives the networks it
-    gave with ``randint`` and leaves ``rng`` in the same state. Each distinct
-    n/d is reduced once per drawer, to an int pair shared by the networks it
-    draws, and each layer is built from its ints, so a draw builds no
-    rational; the pairs go with the drawer, as a table kept for good could
-    grow to (2*max_numerator + 1) * max_denominator of them.
+    gave with ``randint`` and leaves ``rng`` in the same state.
+    ``stress_bound`` calls this once per trial on one generator.
+
+    A draw builds no rational. Each layer scales every drawn n/d, as drawn,
+    to n*(L // d) over the lcm L of the layer's denominators, and
+    ``DenseLayer.from_integers`` divides L and those ints by their gcd, which
+    is L over the least common denominator: the layer's least form.
     """
     if max_numerator < 0:
         raise ValueError(f"max_numerator must be non-negative, got {max_numerator}")
@@ -419,11 +424,10 @@ def _drawer(
     getrandbits = rng.getrandbits
     numerators = 2 * max_numerator + 1
     n_bits, d_bits = numerators.bit_length(), max_denominator.bit_length()
-    values: dict[int, tuple[int, int]] = {}
-
-    def layer(rows: int, cols: int) -> DenseLayer:
-        params: list[tuple[int, int]] = []
-        append = params.append
+    widths = arch.widths
+    layers = []
+    for rows, cols in [*zip(widths, (1, *widths)), (arch.output_dim, widths[-1])]:
+        nums, dens = [], []
         for _ in range(rows * (cols + 1)):
             n = getrandbits(n_bits)
             while n >= numerators:
@@ -431,40 +435,14 @@ def _drawer(
             d = getrandbits(d_bits)
             while d >= max_denominator:
                 d = getrandbits(d_bits)
-            key = n * max_denominator + d  # the pair (n, d) as one int
-            try:
-                append(values[key])
-            except KeyError:
-                num, den = n - max_numerator, d + 1
-                g = math.gcd(num, den)
-                values[key] = pair = (num // g, den // g)
-                append(pair)
-        lcd = math.lcm(*[den for _, den in params])
-        scaled = [num * (lcd // den) for num, den in params]
+            nums.append(n - max_numerator)
+            dens.append(d + 1)
+        lcd = math.lcm(*dens)
+        scaled = [n * (lcd // d) for n, d in zip(nums, dens)]
         weights = rows * cols
-        return DenseLayer.from_integers(
-            lcd, (scaled[k : k + cols] for k in range(0, weights, cols)), scaled[weights:]
-        )
-
-    def draw(arch: Architecture) -> ScalarInputNetwork:
-        widths = arch.widths
-        hidden = [layer(widths[0], 1)]
-        for prev, width in zip(widths, widths[1:]):
-            hidden.append(layer(width, prev))
-        return ScalarInputNetwork(tuple(hidden), layer(arch.output_dim, widths[-1]))
-
-    return draw
-
-
-def random_network(
-    rng: random.Random,
-    arch: Architecture,
-    max_numerator: int = MAX_NUMERATOR,
-    max_denominator: int = MAX_DENOMINATOR,
-) -> ScalarInputNetwork:
-    """Network with seeded random rational parameters for the given shape,
-    drawn as ``_drawer`` draws it."""
-    return _drawer(rng, max_numerator, max_denominator)(arch)
+        rows_of = (scaled[k : k + cols] for k in range(0, weights, cols))
+        layers.append(DenseLayer.from_integers(lcd, rows_of, scaled[weights:]))
+    return ScalarInputNetwork(tuple(layers[:-1]), layers[-1])
 
 
 def stress_bound(arch: Architecture, trials: int, seed: int) -> StressReport:
@@ -476,11 +454,11 @@ def stress_bound(arch: Architecture, trials: int, seed: int) -> StressReport:
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    draw = _drawer(random.Random(seed), MAX_NUMERATOR, MAX_DENOMINATOR)
+    rng = random.Random(seed)
     bound = knot_bound(arch)
     max_observed = 0
     for trial in range(trials):
-        net = draw(arch)
+        net = random_network(rng, arch)
         count = len(extract(net).output_knot_indices)
         if count > bound:
             raise RuntimeError(

@@ -545,8 +545,9 @@ class TestUnwritableOutput:
             ("missing/n.json", errno.ENOENT),
             ("a-file/n.json", errno.ENOTDIR),
             ("a-directory", errno.EISDIR),
+            ("", errno.ENOENT),
         ],
-        ids=["missing-directory", "file-as-directory", "is-a-directory"],
+        ids=["missing-directory", "file-as-directory", "is-a-directory", "empty"],
     )
     def test_build_refused_before_building(self, target, code, tmp_path, monkeypatch, capsys):
         def no_build(arch):
@@ -555,12 +556,12 @@ class TestUnwritableOutput:
         monkeypatch.setattr(cli, "build_tight_network", no_build)
         (tmp_path / "a-file").write_text("")
         (tmp_path / "a-directory").mkdir()
-        target = tmp_path / target
+        target = tmp_path / target if target else ""  # "" is no file name at all
         assert main(["build", "9", "9", "9", "9", "9", "--out", str(target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {target}: {os.strerror(code)}\n"
-        assert not target.is_file() and (tmp_path / "a-file").read_text() == ""
+        assert not Path(target).is_file() and (tmp_path / "a-file").read_text() == ""
 
     @pytest.mark.parametrize(
         "target, code",
@@ -568,8 +569,9 @@ class TestUnwritableOutput:
             ("missing/x.csv", errno.ENOENT),
             ("a-file/x.csv", errno.ENOTDIR),
             ("a-directory", errno.EISDIR),
+            ("", errno.ENOENT),
         ],
-        ids=["missing-directory", "file-as-directory", "is-a-directory"],
+        ids=["missing-directory", "file-as-directory", "is-a-directory", "empty"],
     )
     def test_csv_refused_before_extracting(
         self, target, code, reference_file, tmp_path, monkeypatch, capsys
@@ -580,12 +582,12 @@ class TestUnwritableOutput:
         monkeypatch.setattr(cli, "extract", no_extract)
         (tmp_path / "a-file").write_text("")
         (tmp_path / "a-directory").mkdir()
-        target = tmp_path / target
+        target = tmp_path / target if target else ""  # "" is no file name at all
         assert main(["analyze", reference_file, "--csv", str(target)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {target}: {os.strerror(code)}\n"
-        assert not target.is_file() and (tmp_path / "a-file").read_text() == ""
+        assert not Path(target).is_file() and (tmp_path / "a-file").read_text() == ""
 
 
 BIG = 10**400

@@ -36,7 +36,6 @@ from relu_knots.verify import (
     SAMPLE_LIMIT,
     SEPARATION_STEPS,
     SLOPE_CHANGE_TOLERANCE,
-    _drawer,
     _float_forward,
     _float_layers,
     _grid_points,
@@ -471,8 +470,8 @@ class TestStressBound:
 
     @pytest.mark.parametrize("bounds", DRAW_BOUNDS, ids=str)
     def test_draws_the_randint_networks(self, bounds):
-        # shapes alternate between one drawer and random_network, which
-        # makes a drawer per call; randint draws from a twin generator
+        # every shape drawn in turn from one generator; randint draws from a
+        # twin generator
         shapes = [
             Architecture(tuple(1 + (width + k) % 9 for k in range(depth)), output_dim=p)
             for depth in range(1, 5)
@@ -480,11 +479,27 @@ class TestStressBound:
             for p in range(1, 4)
         ]
         rng, ref_rng = random.Random(17), random.Random(17)
-        draw = _drawer(rng, *bounds)
-        for k, arch in enumerate(shapes):
-            net = draw(arch) if k % 2 else random_network(rng, arch, *bounds)
+        for arch in shapes:
+            net = random_network(rng, arch, *bounds)
             assert net == reference_random_network(ref_rng, arch, *bounds)
             assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("widths, trials", [((2, 2), 50), ((6, 3, 2), 20)], ids=str)
+    def test_stress_extracts_the_random_networks_in_order(self, monkeypatch, widths, trials):
+        # the contract the benchmark's checks rely on: the search draws its
+        # trials with random_network, in order, from one random.Random(seed)
+        arch = Architecture(widths, output_dim=2)
+        seed = 11
+        extracted = []
+
+        def recording_extract(net):
+            extracted.append(net)
+            return extract(net)
+
+        monkeypatch.setattr(verify, "extract", recording_extract)
+        stress_bound(arch, trials, seed)
+        rng = random.Random(seed)
+        assert extracted == [random_network(rng, arch) for _ in range(trials)]
 
     @pytest.mark.parametrize(
         "widths, trials", [((2, 2), 100), ((8, 8, 8, 8), 8), ((32, 32), 8)], ids=str
@@ -517,8 +532,8 @@ class TestStressBound:
         assert rng.getstate() == state
 
     def test_stress_search_builds_no_rational(self, monkeypatch):
-        # the drawer reduces each n/d to an int pair and builds each layer
-        # from its ints; extraction counts knots in ints
+        # random_network builds each layer from ints scaled to the lcm of
+        # its denominators; extraction counts knots in ints
         with fractions_built(monkeypatch) as built:
             stress_bound(Architecture((8, 8, 8, 8), output_dim=2), 100, 3)
         assert built == [0]
