@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any
 
 from .network import DenseLayer, ScalarInputNetwork
-from .rational import Rational, as_rational, format_ratio, parse_rational
+from .rational import format_ratio, parse_ratio
 
 
 class SchemaError(ValueError):
@@ -42,18 +42,19 @@ def _fail(path: str, message: str) -> SchemaError:
     return SchemaError(f"{path}: {message}")
 
 
-def _rational_at(value: Any, path: str) -> Rational:
+def _ratio_at(value: Any, path: str) -> tuple[int, int]:
+    """The rational at ``path`` as the ints (num, den), den >= 1, not reduced."""
     if isinstance(value, bool):
         raise _fail(path, f"expected a rational, got {value!r}")
     if isinstance(value, int):
-        return as_rational(value)
+        return value, 1
     if isinstance(value, float):
         if not math.isfinite(value):  # a JSON number such as 1e400
             raise _fail(path, "not finite: write a number this large as a 'num/den' string")
         raise _fail(path, f"floats are not exact; write {value!r} as a 'num/den' string")
     if isinstance(value, str):
         try:
-            return parse_rational(value)
+            return parse_ratio(value)
         except ValueError as exc:
             raise _fail(path, str(exc)) from exc
     raise _fail(path, f"expected a rational string, got {type(value).__name__}")
@@ -76,19 +77,22 @@ def _layer_at(value: Any, path: str) -> DenseLayer:
     if "biases" not in value:
         raise _fail(path, "missing key 'biases'")
     rows = _list_at(value["weights"], f"{path}.weights")
-    weights = tuple(
-        tuple(
-            _rational_at(entry, f"{path}.weights[{i}][{j}]")
+    weights = [
+        [
+            _ratio_at(entry, f"{path}.weights[{i}][{j}]")
             for j, entry in enumerate(_list_at(row, f"{path}.weights[{i}]"))
-        )
+        ]
         for i, row in enumerate(rows)
-    )
-    biases = tuple(
-        _rational_at(entry, f"{path}.biases[{i}]")
+    ]
+    biases = [
+        _ratio_at(entry, f"{path}.biases[{i}]")
         for i, entry in enumerate(_list_at(value["biases"], f"{path}.biases"))
-    )
+    ]
+    # every n/d as written over the lcm of the ds; from_integers reduces
+    lcd = math.lcm(*(d for row in (*weights, biases) for _, d in row))
+    scaled = [[n * (lcd // d) for n, d in row] for row in weights]
     try:
-        return DenseLayer(weights, biases)
+        return DenseLayer.from_integers(lcd, scaled, [n * (lcd // d) for n, d in biases])
     except ValueError as exc:
         raise _fail(path, str(exc)) from exc
 

@@ -19,13 +19,20 @@ knots in ints, with an exact floor division per knot, and appends each new
 root as a reduced int pair; ``_regrid`` places the roots by cross-multiplying.
 The walk builds no rational: ``ExtractionTrace`` keeps the grids in ints
 and builds ``Fraction``s only when they are read.
+
+``_combine`` sums a row's slope jumps in one list over the grid below, so a
+row costs O(|U_{i-1}|) plus the knots of the units it weights. Every grid
+point is a knot of some unit below (``_regrid`` drops the rest), so a row
+with no zero weight reads each point at least once anyway. The knots it
+returns are the grid's own index ints, shared by every unit, so the knot
+lists of a layer hold no int of their own.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 
@@ -34,10 +41,10 @@ from .rational import Rational, RationalLike, as_rational, scaled_rows
 from .spline import LinearSpline
 
 # the most knots a hidden layer may have in ``extract``, and the largest
-# bound ``build`` constructs: (45, 45, 45) has 97,335 knots, and
-# ``relu-knots build 45 45 45 --p 2`` run as a subprocess takes 0.44 to
-# 0.70 s of wall time and peaks at 62 MB resident (8 runs, Python 3.11,
-# 2 shared x86 cores)
+# bound ``build`` constructs: (45, 45, 45) has 97,335 knots, the longest
+# grid ``_combine`` sums over, and ``relu-knots build 45 45 45 --p 2`` run
+# as a subprocess takes 0.43 to 0.75 s of wall time and peaks at 55.3 to
+# 55.7 MB resident (8 runs, Python 3.11, 2 shared x86 cores)
 KNOT_LIMIT = 100_000
 
 
@@ -255,18 +262,22 @@ class ExtractionTrace:
 _Root = tuple[int, int, int, int]
 
 
-def _combine(row: tuple[int, ...], units: list[_Unit], bias: int) -> _Unit:
-    """``sum(row[j] * units[j]) + bias`` in ints; jumps that cancel are dropped."""
+def _combine(row: tuple[int, ...], units: list[_Unit], bias: int, points: list[int]) -> _Unit:
+    """``sum(row[j] * units[j]) + bias`` in ints; jumps that cancel are dropped.
+
+    The jumps are summed in one list over the grid below, and the knots are
+    the objects of ``points``, its indices, whose sum is nonzero. A row
+    costs O(|U_{i-1}|) plus the knots of the units it weights.
+    """
     slope, intercept = 0, bias
-    jumps: dict[int, int] = {}
+    jumps = [0] * len(points)
     for w, (s, c, knots, deltas) in zip(row, units):
         if w:
             slope += w * s
             intercept += w * c
             for k, d in zip(knots, deltas):
-                jumps[k] = jumps.get(k, 0) + w * d
-    knots = sorted(k for k, d in jumps.items() if d)
-    return slope, intercept, knots, [jumps[k] for k in knots]
+                jumps[k] += w * d
+    return slope, intercept, list(compress(points, jumps)), list(filter(None, jumps))
 
 
 def _relu(
@@ -279,7 +290,10 @@ def _relu(
 
     At a knot with value v, the one-sided slopes of the output are those of
     the unit where it is positive on that side, else 0, and the knot stays
-    when they differ. A root always stays, with jump |slope|.
+    when they differ. Every jump d that ``_combine`` hands over is nonzero,
+    so where v > 0 the knot stays with its jump d and where v < 0 it goes;
+    only at v == 0 are the two slopes compared. A root always stays, with
+    jump |slope|.
 
     The walk runs in ints. On each piece the unit is S*x + c with S and c
     ints: the input is 1*x + 0, and an integer combination of such pieces,
@@ -310,30 +324,45 @@ def _relu(
     for k, d in zip(knots, deltas):
         p, q = nums[k], dens[k]
         v = slope * p + c * q
-        sign = (v > 0) - (v < 0)
-        if sign * prev_sign < 0:
-            root(prev_k + 1, k)
-        right = slope + d
-        out_left = slope if sign > 0 or (sign == 0 and slope < 0) else 0
-        out_right = right if sign > 0 or (sign == 0 and right > 0) else 0
-        if out_left != out_right:
+        if v > 0:
+            if prev_sign < 0:
+                root(prev_k + 1, k)
             out_knots.append(k)
-            out_jumps.append(out_right - out_left)
-        prev_k, c, prev_sign, slope = k, c - d // q * p, sign, right
+            out_jumps.append(d)
+            prev_sign = 1
+        elif v < 0:
+            if prev_sign > 0:
+                root(prev_k + 1, k)
+            prev_sign = -1
+        else:
+            out_left = slope if slope < 0 else 0
+            out_right = slope + d if slope + d > 0 else 0
+            if out_left != out_right:
+                out_knots.append(k)
+                out_jumps.append(out_right - out_left)
+            prev_sign = 0
+        prev_k, c, slope = k, c - d // q * p, slope + d
     if prev_sign * slope < 0:  # the root on the right ray
         root(prev_k + 1, n)
     return out_slope, out_intercept, out_knots, out_jumps
 
 
-def _regrid(grid: _Grid, roots: list[_Root], units: list[_Unit]) -> tuple[_Grid, list[_Unit]]:
-    """The next grid, and the units re-keyed onto it.
+def _regrid(
+    grid: _Grid, roots: list[_Root], units: list[_Unit]
+) -> tuple[_Grid, list[int], list[_Unit]]:
+    """The next grid, its indices ``points`` and the units re-keyed onto it.
 
     Each root a/b joins the cell of the first point of its range at or
     right of it, found by bisection comparing p*b < a*q at a grid point
     p/q. A cell's roots, ordered by their numerators over the cell's least
     common denominator, and then its point, if a unit still uses it, are
     placed in turn, and one equal to the last point placed merges with it.
-    Grid points that no unit uses any more are dropped.
+    Grid points that no unit uses any more are dropped, so every point is a
+    knot of some unit, which bounds ``_combine``'s walk over the grid.
+
+    ``points`` holds one int object per new index, and every unit's knots
+    are those same objects: ``_combine`` compresses over ``points``, so the
+    knot lists of the next layer and of the outputs add no int of their own.
     """
     nums, dens = grid
     n = len(nums)
@@ -355,6 +384,7 @@ def _regrid(grid: _Grid, roots: list[_Root], units: list[_Unit]) -> tuple[_Grid,
     key = [0] * (n + len(roots))  # old grid index or root key -> new index
     new_nums: list[int] = []
     new_dens: list[int] = []
+    points: list[int] = []  # the new indices, one int object per point
     for t in range(n + 1):
         cell = cells.get(t)
         if cell:
@@ -364,16 +394,18 @@ def _regrid(grid: _Grid, roots: list[_Root], units: list[_Unit]) -> tuple[_Grid,
             for r in cell:
                 a, b, _, _ = roots[r - n]
                 if not new_nums or new_nums[-1] != a or new_dens[-1] != b:
+                    points.append(len(new_nums))
                     new_nums.append(a)
                     new_dens.append(b)
-                key[r] = len(new_nums) - 1
+                key[r] = points[-1]
         if t < n and used[t]:
             if not new_nums or new_nums[-1] != nums[t] or new_dens[-1] != dens[t]:
+                points.append(len(new_nums))
                 new_nums.append(nums[t])
                 new_dens.append(dens[t])
-            key[t] = len(new_nums) - 1
+            key[t] = points[-1]
     units = [(s, c, [key[k] for k in knots], d) for s, c, knots, d in units]
-    return (tuple(new_nums), tuple(new_dens)), units
+    return (tuple(new_nums), tuple(new_dens)), points, units
 
 
 def extract(net: ScalarInputNetwork) -> ExtractionTrace:
@@ -387,17 +419,18 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
     ``ValueError``.
     """
     grid: _Grid = ((), ())
+    points: list[int] = []
     units: list[_Unit] = [(1, 0, [], [])]
     den = 1
     grids = []
     for i, layer in enumerate(net.hidden_layers, start=1):
         roots: list[_Root] = []
         units = [
-            _relu(_combine(row, units, b * den), *grid, roots)
+            _relu(_combine(row, units, b * den, points), *grid, roots)
             for row, b in zip(layer.scaled_weights, layer.scaled_biases)
         ]
         den *= layer.lcd
-        grid, units = _regrid(grid, roots, units)
+        grid, points, units = _regrid(grid, roots, units)
         if len(grid[0]) > KNOT_LIMIT:
             raise ValueError(
                 f"hidden layer {i} has {len(grid[0])} knots, above the limit of {KNOT_LIMIT}"
@@ -405,6 +438,7 @@ def extract(net: ScalarInputNetwork) -> ExtractionTrace:
         grids.append(grid)
     out = net.output_layer
     outputs = tuple(
-        _combine(row, units, b * den) for row, b in zip(out.scaled_weights, out.scaled_biases)
+        _combine(row, units, b * den, points)
+        for row, b in zip(out.scaled_weights, out.scaled_biases)
     )
     return ExtractionTrace(outputs, den * out.lcd, tuple(grids))

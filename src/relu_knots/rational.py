@@ -9,7 +9,8 @@ the float oracle and the random stress search read ints; ``evaluate`` and
 ``eval_canonical`` compute in ints, ``extract`` keeps every knot as a
 reduced int pair, the CLI's knot reports, spline CSV and network JSON read
 those ints, and ``format_ratio`` and ``decimal_str`` render an int pair
-without building a rational.
+without building a rational. A network file is read the same way:
+``parse_ratio`` reads each parameter as an int pair.
 Floats are rejected at the API boundary: knot existence is an equality
 question (is a slope change zero, does a root coincide with a breakpoint)
 and binary rounding would make the answers depend on how the inputs
@@ -65,17 +66,26 @@ def scaled_rows(
     return lcd, tuple(tuple([n * (lcd // d) for n, d in row]) for row in rows)
 
 
-def parse_rational(text: str) -> Rational:
-    """Parse ``"num/den"`` or ``"num"``. No decimals, underscores or exponents:
-    an exponent gets past ``int``'s digit limit and can take hours to expand."""
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Parse ``"num/den"`` or ``"num"`` into the ints (num, den), den >= 1,
+    as written, not reduced. No decimals, underscores or exponents: an
+    exponent gets past ``int``'s digit limit and can take hours to expand."""
     match = _RATIONAL_TEXT.fullmatch(text)
     try:
         if match is None:
             raise ValueError
-        return Rational(int(match[1]), int(match[2] or 1))
-    except (ValueError, ZeroDivisionError) as exc:
+        num, den = int(match[1]), int(match[2] or 1)
+        if den == 0:
+            raise ValueError
+    except ValueError as exc:
         shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
         raise ValueError(f"invalid rational {shown}") from exc
+    return num, den
+
+
+def parse_rational(text: str) -> Rational:
+    """``parse_ratio`` of text, as a reduced rational."""
+    return Rational(*parse_ratio(text))
 
 
 def format_rational(value: Rational) -> str:

@@ -159,12 +159,13 @@ class TestBuild:
                 assert main(argv) == 0
             counts += built
         assert max(counts) <= 3 * param_count(arch) < knot_bound(arch)
-        # verify's exact side reads the trace's ints too: it builds what
-        # the load builds, and the interval's two ends, and exits 4, as
-        # (5,5,5,5,5) has knots closer than three steps of the default grid
+        # the load reads every parameter as an int pair, and verify's exact
+        # side reads the trace's ints too: it builds the interval's two
+        # ends, and exits 4, as (5,5,5,5,5) has knots closer than three
+        # steps of the default grid
         with fractions_built(monkeypatch) as built:
             assert main(["verify", net, "--json"]) == 4
-        assert built == [counts[1] + 2] == [param_count(arch) + 2]
+        assert built == [counts[1] + 2] == [2]
 
     def test_stdout_json_when_no_out(self, capsys):
         assert main(["build", "4"]) == 0

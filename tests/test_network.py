@@ -10,11 +10,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (
+    affine_combine,
     network_layers,
     nonzero_rationals,
     rational_arithmetic_calls,
     rationals,
     reference_extract,
+    reference_layer,
     same_as_reference,
     seeded_points,
     single_unit_net,
@@ -492,6 +494,54 @@ class TestExtractAgainstReference:
         assert knot in trace.per_layer_knot_union[1]
         assert same_as_reference(net, trace)
         assert_exact_between_knots(net, trace)
+
+    # A second-layer unit over relu(x), relu(-x), relu(x - 1) and
+    # relu(x - 2) that is exactly 0 at the grid point x: at the knot 0
+    # with each sign pair of its one-sided slopes (left/right), or at the
+    # point 1, where a new root lands on another unit's knot.
+    ZERO_AT_GRID_POINT = {
+        "knot-up-up": ((3, -2, 0, 0), 0, 0),
+        "knot-up-down": ((-3, -2, 0, 0), 0, 0),
+        "knot-down-up": ((3, 2, 0, 0), 0, 0),
+        "knot-down-down": ((-3, 2, 0, 0), 0, 0),
+        "root-on-ray": ((1, 0, 0, 0), -1, 1),
+        "root-between-knots": ((-1, 0, 0, 2), 1, 1),
+    }
+
+    @pytest.mark.parametrize(
+        "row, bias, x", ZERO_AT_GRID_POINT.values(), ids=ZERO_AT_GRID_POINT.keys()
+    )
+    def test_unit_zero_at_a_grid_point(self, row, bias, x):
+        first = DenseLayer([[1], [-1], [1], [1]], [0, 0, -1, -2])
+        # relu(x - 1) keeps 1 on the grid
+        second = DenseLayer([row, (0, 0, 1, 0)], [bias, 0])
+        net = ScalarInputNetwork((first, second), DenseLayer([[1, 0], [0, 1]], [0, 0]))
+        below = reference_layer(first)
+        assert affine_combine(zip(row, below), bias)(x) == 0
+        trace = extract(net)
+        assert x in trace.per_layer_knot_union[0]
+        assert trace.output_splines == tuple(reference_layer(second, below))
+
+    def test_wide_sparse_rows(self):
+        # 300 ramps relu(x - k), k = 0..299; second-layer row j reads ramp j
+        # alone (j even: relu(r_j - 1/2), a root at j + 1/2) or ramps j - 1
+        # and j (j odd: relu(r_j - r_{j-1} + 1), knots at j - 1 and j). So
+        # each row's accumulator spans the whole grid, and its units cover
+        # one or two points of it. The autouse fixture checks the reference.
+        first = DenseLayer([[1]] * 300, [-k for k in range(300)])
+        rows = [[0] * 300 for _ in range(300)]
+        for j, row in enumerate(rows):
+            row[j] = 1
+            if j % 2:
+                row[j - 1] = -1
+        second = DenseLayer(rows, [Q(-1, 2) if j % 2 == 0 else 1 for j in range(300)])
+        output = DenseLayer([[1] * 300, [(-1) ** j for j in range(300)]], [0, 0])
+        trace = extract(ScalarInputNetwork((first, second), output))
+        ramps = tuple(map(Q, range(300)))
+        assert trace.per_layer_knot_union == (
+            ramps,
+            tuple(sorted(ramps + tuple(Q(2 * j + 1, 2) for j in range(0, 300, 2)))),
+        )
 
     def test_coprime_knot_denominators_and_negative_values(self):
         # Knot denominators up to 97 and hundreds of distinct ones: the
