@@ -11,16 +11,24 @@ k, and the line (c1, c0) completes the equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import lcm
 from operator import mul
 
 from .network import ScalarInputNetwork
-from .rational import ZERO, Rational, RationalLike, as_rational, scaled_rows
+from .rational import Rational, RationalLike, as_rational, lowest_terms
 
 
 @dataclass(frozen=True, slots=True)
 class CanonicalShallowForm:
     """Sorted knots x_j, ramp slope matrix s_kj, and per-output line (c1, c0).
+
+    The form is held in integers, in lowest terms, as ``DenseLayer`` holds a
+    layer: ``knot_lcd`` K is the least common denominator of the knots and
+    ``scaled_knots`` holds K*x_j; ``lcd`` S is that of the slopes and the
+    line, and row k of ``scaled_rows`` is S*(s_k1, ..., s_kn, c1_k, c0_k).
+    ``knot_locations``, ``ray_slopes``, ``line_slope`` and ``line_intercept``
+    build rationals on each read.
 
     ``folded_units`` lists original unit indices whose input weight was zero;
     such units are constants and were absorbed into the intercepts, since
@@ -28,45 +36,28 @@ class CanonicalShallowForm:
     reparameterization, not an analysis, and distinct units stay distinct.
     """
 
-    knot_locations: tuple[Rational, ...]
-    ray_slopes: tuple[tuple[Rational, ...], ...]
-    line_slope: tuple[Rational, ...]
-    line_intercept: tuple[Rational, ...]
+    knot_lcd: int
+    scaled_knots: tuple[int, ...]
+    lcd: int
+    scaled_rows: tuple[tuple[int, ...], ...]
     folded_units: tuple[int, ...] = ()
-    # kept by ``integer_form`` on first use; it takes no part in ==, hash or repr
-    _integer_form: tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
-    def __post_init__(self) -> None:
-        for name in ("knot_locations", "line_slope", "line_intercept"):
-            object.__setattr__(self, name, tuple(map(as_rational, getattr(self, name))))
-        object.__setattr__(
-            self, "ray_slopes", tuple(tuple(map(as_rational, row)) for row in self.ray_slopes)
-        )
-        n = len(self.knot_locations)
-        if any(len(row) != n for row in self.ray_slopes):
-            raise ValueError("ray_slopes rows must match the number of knots")
-        p = len(self.ray_slopes)
-        if len(self.line_slope) != p or len(self.line_intercept) != p:
-            raise ValueError("line coefficient lengths must match the output count")
-        if any(
-            a > b for a, b in zip(self.knot_locations, self.knot_locations[1:])
-        ):
-            raise ValueError("knot locations must be non-decreasing")
+    @property
+    def knot_locations(self) -> tuple[Rational, ...]:
+        return tuple(Rational(x, self.knot_lcd) for x in self.scaled_knots)
 
-    def integer_form(self) -> tuple[int, tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
-        """The form in integers: ``(K, K*knots, S, rows)``. K is the least
-        common denominator of the knots, S that of the slopes and the line,
-        and row k is S*(ray slopes of output k, line slope, line intercept)."""
-        if self._integer_form is None:
-            knot_lcd, (knots,) = scaled_rows([self.knot_locations])
-            lcd, rows = scaled_rows(
-                (*slopes, c1, c0)
-                for slopes, c1, c0 in zip(self.ray_slopes, self.line_slope, self.line_intercept)
-            )
-            object.__setattr__(self, "_integer_form", (knot_lcd, knots, lcd, rows))
-        return self._integer_form
+    @property
+    def ray_slopes(self) -> tuple[tuple[Rational, ...], ...]:
+        lcd = self.lcd
+        return tuple(tuple(Rational(s, lcd) for s in row[:-2]) for row in self.scaled_rows)
+
+    @property
+    def line_slope(self) -> tuple[Rational, ...]:
+        return tuple(Rational(row[-2], self.lcd) for row in self.scaled_rows)
+
+    @property
+    def line_intercept(self) -> tuple[Rational, ...]:
+        return tuple(Rational(row[-1], self.lcd) for row in self.scaled_rows)
 
 
 def to_forward_facing(net: ScalarInputNetwork) -> CanonicalShallowForm:
@@ -76,45 +67,43 @@ def to_forward_facing(net: ScalarInputNetwork) -> CanonicalShallowForm:
     and the negative-weight units contribute w2_kj * w_j to the line slope and
     w2_kj * b_j to the intercept. Units with w = 0 output the constant
     max(0, b_j) and are folded into the intercepts.
+
+    The rewrite runs on the layers' ints: with w_j = W_j/L1, b_j = B_j/L1 and
+    w2_kj = V_kj/L2, x_j = -B_j/W_j, and every slope and line coefficient is
+    an int over L1*L2.
     """
     if net.depth != 1:
         raise ValueError(
             f"forward-facing form is defined for one hidden layer, got {net.depth}"
         )
-    hidden = net.hidden_layers[0]
-    # each read of a layer's weights or biases builds its rationals
-    w1 = [w for (w,) in hidden.weights]
-    b1 = hidden.biases
-    w2 = net.output_layer.weights
-    p = len(w2)
-
-    line_slope = [ZERO for _ in range(p)]
-    line_intercept = list(net.output_layer.biases)
-    kept: list[tuple[Rational, int]] = []  # (knot location, unit index)
+    hidden, out = net.hidden_layers[0], net.output_layer
+    v = out.scaled_weights
+    # L1*L2*(c1_k, c0_k) for each output k
+    line = [[0, c * hidden.lcd] for c in out.scaled_biases]
+    kept: list[tuple[int, int, int]] = []  # (unit index, W_j, B_j)
     folded: list[int] = []
-    for j, (w, b) in enumerate(zip(w1, b1)):
+    for j, ((w,), b) in enumerate(zip(hidden.scaled_weights, hidden.scaled_biases)):
         if w == 0:
             folded.append(j)
-            constant = max(ZERO, b)
-            for k in range(p):
-                line_intercept[k] += w2[k][j] * constant
+            if b > 0:
+                for row, coeffs in zip(v, line):
+                    coeffs[1] += row[j] * b
             continue
         if w < 0:
-            for k in range(p):
-                line_slope[k] += w2[k][j] * w
-                line_intercept[k] += w2[k][j] * b
-        kept.append((-b / w, j))
+            for row, coeffs in zip(v, line):
+                coeffs[0] += row[j] * w
+                coeffs[1] += row[j] * b
+        kept.append((j, w, b))
 
-    kept.sort(key=lambda pair: pair[0])  # stable: ties keep unit order
-    knots = tuple(x for x, _ in kept)
-    ray_slopes = tuple(tuple(row[j] * abs(w1[j]) for _, j in kept) for row in w2)
-    return CanonicalShallowForm(
-        knot_locations=knots,
-        ray_slopes=ray_slopes,
-        line_slope=tuple(line_slope),
-        line_intercept=tuple(line_intercept),
-        folded_units=tuple(folded),
+    # every x_j over the lcm of the |W_j|; tied knots sort by unit index
+    knot_lcd = lcm(*[w for _, w, _ in kept])
+    knots = sorted((-b * knot_lcd // w, j, abs(w)) for j, w, b in kept)
+    knot_lcd, (scaled_knots,) = lowest_terms(knot_lcd, [[x for x, _, _ in knots]])
+    lcd, scaled_rows = lowest_terms(
+        hidden.lcd * out.lcd,
+        ([row[j] * w for _, j, w in knots] + coeffs for row, coeffs in zip(v, line)),
     )
+    return CanonicalShallowForm(knot_lcd, scaled_knots, lcd, scaled_rows, tuple(folded))
 
 
 def eval_canonical(form: CanonicalShallowForm, x: RationalLike) -> list[Rational]:
@@ -129,10 +118,10 @@ def eval_canonical(form: CanonicalShallowForm, x: RationalLike) -> list[Rational
     """
     x = as_rational(x)
     n, d = x.numerator, x.denominator
-    knot_lcd, knots, lcd, rows = form.integer_form()
+    knot_lcd = form.knot_lcd
     nk = n * knot_lcd
     # the ramps, then the line's x and 1, all over K*d
-    terms = [r if (r := nk - xj * d) > 0 else 0 for xj in knots]
+    terms = [r if (r := nk - xj * d) > 0 else 0 for xj in form.scaled_knots]
     terms += (nk, knot_lcd * d)
-    den = lcd * knot_lcd * d
-    return [Rational(sum(map(mul, row, terms)), den) for row in rows]
+    den = form.lcd * knot_lcd * d
+    return [Rational(sum(map(mul, row, terms)), den) for row in form.scaled_rows]

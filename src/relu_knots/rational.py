@@ -3,14 +3,16 @@
 Every value in this package is an exact rational: a ``fractions.Fraction``,
 reduced, arbitrary precision, positive denominator. Where values come by
 the thousand they stay in Python ints: a ``DenseLayer`` holds its weights
-and biases as ints over their least common denominator (``scaled_rows``)
+and biases as ints over their least common denominator (``lowest_terms``)
 and builds rationals only when they are read, so ``evaluate``, ``extract``,
-the float oracle and the random stress search read ints; ``evaluate`` and
-``eval_canonical`` compute in ints, ``extract`` keeps every knot as a
-reduced int pair, the CLI's knot reports, spline CSV and network JSON read
-those ints, and ``format_ratio`` and ``decimal_str`` render an int pair
-without building a rational. A network file is read the same way:
-``parse_ratio`` reads each parameter as an int pair.
+the float oracle and the random stress search read ints; ``canonical``
+computes the forward-facing form from the layers' ints and holds it in
+ints the same way; ``evaluate`` and ``eval_canonical`` compute in ints,
+``extract`` keeps every knot as a reduced int pair, the CLI's knot
+reports, spline CSV and network JSON read those ints, and ``format_ratio``
+and ``decimal_str`` render an int pair without building a rational. A
+network file is read the same way: ``parse_ratio`` reads each parameter as
+an int pair.
 Floats are rejected at the API boundary: knot existence is an equality
 question (is a slope change zero, does a root coincide with a breakpoint)
 and binary rounding would make the answers depend on how the inputs
@@ -24,6 +26,7 @@ import math
 import re
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import chain
 
 Rational = Fraction
 
@@ -56,14 +59,17 @@ def as_rational(value: RationalLike) -> Rational:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def scaled_rows(
-    rows: Iterable[Iterable[Rational]],
+def lowest_terms(
+    lcd: int, rows: Iterable[Iterable[int]]
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Rows of rationals as rows of ints over one denominator: ``(L, L*rows)``,
-    where L is the least common denominator of every entry (1 if none)."""
-    rows = [[v.as_integer_ratio() for v in row] for row in rows]
-    lcd = math.lcm(*[d for row in rows for _, d in row])
-    return lcd, tuple(tuple([n * (lcd // d) for n, d in row]) for row in rows)
+    """Rows of ints over one denominator L >= 1, divided through by the gcd
+    of L and every entry: ``(L', L'*rows/L)``, where L' is the least common
+    denominator of the rationals rows/L."""
+    rows = tuple(map(tuple, rows))
+    g = math.gcd(lcd, *chain.from_iterable(rows))
+    if g > 1:
+        lcd, rows = lcd // g, tuple(tuple([v // g for v in row]) for row in rows)
+    return lcd, rows
 
 
 def parse_ratio(text: str) -> tuple[int, int]:

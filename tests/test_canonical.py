@@ -2,12 +2,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as Q
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import affine_combine, rationals, relu, seeded_points, splines
+from conftest import (
+    affine_combine,
+    coefficients,
+    fractions_built,
+    rationals,
+    relu,
+    seeded_points,
+    splines,
+)
 from relu_knots import (
     Architecture,
     DenseLayer,
@@ -83,6 +93,16 @@ class TestToForwardFacing:
         for x in (0, 1, 3):
             assert eval_canonical(form, x) == evaluate(net, x)
 
+    def test_builds_no_rational(self, monkeypatch):
+        # the rewrite reads the layers' ints and holds the form in ints
+        rng = random.Random(2301)
+        archs = [Architecture((rng.randint(1, 10),), rng.randint(1, 3)) for _ in range(40)]
+        nets = [random_network(rng, arch) for arch in archs]
+        with fractions_built(monkeypatch) as built:
+            forms = [to_forward_facing(net) for net in nets]
+        assert built == [0]
+        assert sum(len(form.scaled_knots) for form in forms) > 100
+
     def test_rejects_deep_networks(self):
         l1 = DenseLayer(((Q(1),),), (Q(0),))
         l2 = DenseLayer(((Q(1),),), (Q(0),))
@@ -92,25 +112,8 @@ class TestToForwardFacing:
 
 
 class TestEvalCanonical:
-    def test_float_parameters_are_refused(self):
-        with pytest.raises(TypeError, match="refusing float"):
-            CanonicalShallowForm((Q(0),), ((0.1,),), (Q(0),), (Q(1, 5),))
-
-    @pytest.mark.parametrize(
-        "knots, ray_slopes, line_slope, message",
-        [
-            ((Q(0),), ((Q(1), Q(1)),), (Q(0),), "ray_slopes rows must match"),
-            ((Q(0),), ((Q(1),),), (Q(0), Q(0)), "line coefficient lengths must match"),
-            ((Q(1), Q(0)), ((Q(1), Q(1)),), (Q(0),), "knot locations must be non-decreasing"),
-        ],
-        ids=["ragged-ray-slopes", "line-of-wrong-length", "descending-knots"],
-    )
-    def test_rejects_bad_shapes_and_order(self, knots, ray_slopes, line_slope, message):
-        with pytest.raises(ValueError, match=message):
-            CanonicalShallowForm(knots, ray_slopes, line_slope, (Q(0),))
-
     def test_empty_form_is_constant(self):
-        form = CanonicalShallowForm((), ((),), (Q(0),), (Q(5),))
+        form = CanonicalShallowForm(1, (), 1, ((0, 5),))
         assert eval_canonical(form, 123) == [Q(5)]
 
     def test_peak_walk_matches_cumulative_slopes(self):
@@ -154,13 +157,15 @@ class TestEquivalence:
 def forms_at_points(draw):
     """A form with up to 6 knots, tied ones among them, and an x that is
     often one of its knots."""
-    pool = draw(st.lists(rationals, min_size=1, max_size=3))
-    knots = sorted(draw(st.lists(st.sampled_from(pool), max_size=6)))
+    ints = st.integers(-600, 600)
+    knot_lcd, lcd = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    pool = draw(st.lists(ints, min_size=1, max_size=3))
+    knots = tuple(sorted(draw(st.lists(st.sampled_from(pool), max_size=6))))
     p = draw(st.integers(1, 3))
-    slopes = tuple(tuple(draw(rationals) for _ in knots) for _ in range(p))
-    line = [tuple(draw(rationals) for _ in range(p)) for _ in range(2)]
-    x = draw(st.sampled_from(knots) if knots and draw(st.booleans()) else rationals)
-    return CanonicalShallowForm(tuple(knots), slopes, *line), x
+    rows = tuple(tuple(draw(ints) for _ in range(len(knots) + 2)) for _ in range(p))
+    form = CanonicalShallowForm(knot_lcd, knots, lcd, rows)
+    x = draw(st.sampled_from(form.knot_locations) if knots and draw(st.booleans()) else rationals)
+    return form, x
 
 
 @given(case=forms_at_points())
@@ -173,6 +178,50 @@ def test_eval_canonical_matches_ramp_sum(case):
     got = eval_canonical(form, x)
     assert got == expected
     assert all(isinstance(y, Rational) for y in got)
+
+
+# zero often, small rationals, and numerators and denominators up to 10**6
+parameters = st.one_of(
+    coefficients, st.fractions(-(10**6), 10**6, max_denominator=10**6)
+)
+
+
+@st.composite
+def shallow_networks(draw):
+    """A network of 1-8 hidden units and 1-3 outputs whose units often
+    share a knot -b/w drawn from a pool of two."""
+    width, p = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    pool = draw(st.lists(parameters, min_size=1, max_size=2))
+    w1 = [draw(parameters) for _ in range(width)]
+    b1 = [
+        -draw(st.sampled_from(pool)) * w if draw(st.booleans()) else draw(parameters)
+        for w in w1
+    ]
+    w2 = [[draw(parameters) for _ in range(width)] for _ in range(p)]
+    return shallow(w1, b1, w2, [draw(parameters) for _ in range(p)])
+
+
+@given(net=shallow_networks())
+def test_forward_facing_matches_rational_rewrite(net):
+    # to_forward_facing's docstring, in Fractions
+    (hidden,), out = net.hidden_layers, net.output_layer
+    w1, b1 = [w for (w,) in hidden.weights], hidden.biases
+    kept = sorted((j for j, w in enumerate(w1) if w), key=lambda j: -b1[j] / w1[j])
+    form = to_forward_facing(net)
+    assert form.knot_locations == tuple(-b1[j] / w1[j] for j in kept)
+    slopes = tuple(tuple(row[j] * abs(w1[j]) for j in kept) for row in out.weights)
+    assert form.ray_slopes == slopes
+    assert form.line_slope == tuple(
+        sum(v * w for v, w in zip(row, w1) if w < 0) for row in out.weights
+    )
+    assert form.line_intercept == tuple(
+        c + sum(v * (b if w < 0 else max(Q(0), b)) for v, w, b in zip(row, w1, b1) if w <= 0)
+        for row, c in zip(out.weights, out.biases)
+    )
+    assert form.folded_units == tuple(j for j, w in enumerate(w1) if w == 0)
+    # both int parts in lowest terms
+    assert gcd(form.knot_lcd, *form.scaled_knots) == 1
+    assert gcd(form.lcd, *chain.from_iterable(form.scaled_rows)) == 1
 
 
 @given(x=rationals)
