@@ -12,11 +12,10 @@ k, and the line (c1, c0) completes the equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from operator import mul
 
 from .network import ScalarInputNetwork
-from .rational import Rational, RationalLike, as_rational, lowest_terms
+from .rational import Rational, RationalLike, as_rational, over_lcd
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,7 +69,7 @@ def to_forward_facing(net: ScalarInputNetwork) -> CanonicalShallowForm:
 
     The rewrite runs on the layers' ints: with w_j = W_j/L1, b_j = B_j/L1 and
     w2_kj = V_kj/L2, x_j = -B_j/W_j, and every slope and line coefficient is
-    an int over L1*L2.
+    an int over L1*L2; ``over_lcd`` brings each part to lowest terms.
     """
     if net.depth != 1:
         raise ValueError(
@@ -80,7 +79,8 @@ def to_forward_facing(net: ScalarInputNetwork) -> CanonicalShallowForm:
     v = out.scaled_weights
     # L1*L2*(c1_k, c0_k) for each output k
     line = [[0, c * hidden.lcd] for c in out.scaled_biases]
-    kept: list[tuple[int, int, int]] = []  # (unit index, W_j, B_j)
+    kept: list[tuple[int, int]] = []  # (unit index, |W_j|)
+    knots: list[tuple[int, int]] = []  # x_j = -B_j/W_j over |W_j|
     folded: list[int] = []
     for j, ((w,), b) in enumerate(zip(hidden.scaled_weights, hidden.scaled_biases)):
         if w == 0:
@@ -93,16 +93,17 @@ def to_forward_facing(net: ScalarInputNetwork) -> CanonicalShallowForm:
             for row, coeffs in zip(v, line):
                 coeffs[0] += row[j] * w
                 coeffs[1] += row[j] * b
-        kept.append((j, w, b))
+        kept.append((j, abs(w)))
+        knots.append((-b if w > 0 else b, abs(w)))
 
-    # every x_j over the lcm of the |W_j|; tied knots sort by unit index
-    knot_lcd = lcm(*[w for _, w, _ in kept])
-    knots = sorted((-b * knot_lcd // w, j, abs(w)) for j, w, b in kept)
-    knot_lcd, (scaled_knots,) = lowest_terms(knot_lcd, [[x for x, _, _ in knots]])
-    lcd, scaled_rows = lowest_terms(
-        hidden.lcd * out.lcd,
-        ([row[j] * w for _, j, w in knots] + coeffs for row, coeffs in zip(v, line)),
+    knot_lcd, (scaled_knots,) = over_lcd([knots])
+    units = sorted(zip(scaled_knots, kept))  # tied knots sort by unit index
+    lcd = hidden.lcd * out.lcd
+    lcd, scaled_rows = over_lcd(
+        [(row[j] * w, lcd) for _, (j, w) in units] + [(c, lcd) for c in coeffs]
+        for row, coeffs in zip(v, line)
     )
+    scaled_knots = tuple(x for x, _ in units)
     return CanonicalShallowForm(knot_lcd, scaled_knots, lcd, scaled_rows, tuple(folded))
 
 

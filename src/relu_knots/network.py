@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 
 from .bounds import Architecture
-from .rational import Rational, RationalLike, as_rational, lowest_terms
+from .rational import Rational, RationalLike, as_rational, over_lcd
 from .spline import LinearSpline
 
 # the most knots a hidden layer may have in ``extract``, and the largest
@@ -66,10 +66,10 @@ class DenseLayer:
     def __init__(
         self, weights: Iterable[Iterable[RationalLike]], biases: Iterable[RationalLike]
     ) -> None:
-        pairs = [[as_rational(v).as_integer_ratio() for v in row] for row in (*weights, biases)]
-        lcd = lcm(*[d for row in pairs for _, d in row])
-        *rows, biases = ([n * (lcd // d) for n, d in row] for row in pairs)
-        self._hold(lcd, rows, biases)
+        lcd, (*rows, scaled_biases) = over_lcd(
+            [as_rational(v).as_integer_ratio() for v in row] for row in (*weights, biases)
+        )
+        self._hold(lcd, tuple(rows), scaled_biases)
 
     @classmethod
     def from_integers(
@@ -79,15 +79,18 @@ class DenseLayer:
         reduced to its least common denominator without building a rational."""
         if lcd < 1:
             raise ValueError(f"lcd must be at least 1, got {lcd}")
+        rows = tuple(map(tuple, weights))
+        biases = tuple(biases)
+        g = gcd(lcd, *chain.from_iterable(rows), *biases)
+        if g > 1:
+            rows = tuple(tuple(w // g for w in row) for row in rows)
+            lcd, biases = lcd // g, tuple(b // g for b in biases)
         layer = object.__new__(cls)
-        layer._hold(lcd, weights, biases)
+        layer._hold(lcd, rows, biases)
         return layer
 
-    def _hold(
-        self, lcd: int, weights: Iterable[Iterable[int]], biases: Iterable[int]
-    ) -> None:
-        """Check the shape and store the integer form in lowest terms."""
-        lcd, (*rows, biases) = lowest_terms(lcd, (*weights, biases))
+    def _hold(self, lcd: int, rows: tuple[tuple[int, ...], ...], biases: tuple[int, ...]) -> None:
+        """Check the shape and store the integer form."""
         if not rows:
             raise ValueError("layer needs at least one unit")
         width = len(rows[0])
@@ -96,7 +99,7 @@ class DenseLayer:
         if len(biases) != len(rows):
             raise ValueError(f"bias count {len(biases)} does not match unit count {len(rows)}")
         object.__setattr__(self, "lcd", lcd)
-        object.__setattr__(self, "scaled_weights", tuple(rows))
+        object.__setattr__(self, "scaled_weights", rows)
         object.__setattr__(self, "scaled_biases", biases)
 
     @property

@@ -3,7 +3,7 @@
 Every value in this package is an exact rational: a ``fractions.Fraction``,
 reduced, arbitrary precision, positive denominator. Where values come by
 the thousand they stay in Python ints: a ``DenseLayer`` holds its weights
-and biases as ints over their least common denominator (``lowest_terms``)
+and biases as ints over their least common denominator (``over_lcd``)
 and builds rationals only when they are read, so ``evaluate``, ``extract``,
 the float oracle and the random stress search read ints; ``canonical``
 computes the forward-facing form from the layers' ints and holds it in
@@ -26,7 +26,6 @@ import math
 import re
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import chain
 
 Rational = Fraction
 
@@ -59,17 +58,18 @@ def as_rational(value: RationalLike) -> Rational:
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")
 
 
-def lowest_terms(
-    lcd: int, rows: Iterable[Iterable[int]]
+def over_lcd(
+    rows: Iterable[Iterable[tuple[int, int]]],
 ) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Rows of ints over one denominator L >= 1, divided through by the gcd
-    of L and every entry: ``(L', L'*rows/L)``, where L' is the least common
-    denominator of the rationals rows/L."""
-    rows = tuple(map(tuple, rows))
-    g = math.gcd(lcd, *chain.from_iterable(rows))
-    if g > 1:
-        lcd, rows = lcd // g, tuple(tuple([v // g for v in row]) for row in rows)
-    return lcd, rows
+    """Rows of ratios n/d (d > 0) as rows of ints over their least common
+    denominator: ``(L, L*rows)``, in lowest terms (L = 1 if there are none).
+    Each ratio is reduced by its own gcd first. One gcd of L and every entry
+    would give the same L, but its running gcd shrinks one long factor at a
+    time, which takes seconds once the denominators run to thousands of
+    digits."""
+    rows = [[(n // (g := math.gcd(n, d)), d // g) for n, d in row] for row in rows]
+    lcd = math.lcm(*[d for row in rows for _, d in row])
+    return lcd, tuple(tuple([n * (lcd // d) for n, d in row]) for row in rows)
 
 
 def parse_ratio(text: str) -> tuple[int, int]:
