@@ -15,9 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    coefficients,
     fractions_built,
     network_layers,
     rational_arithmetic_calls,
+    rationals,
     reference_extract,
     reference_spline_csv,
     seeded_points,
@@ -25,6 +27,7 @@ from conftest import (
 )
 from relu_knots import (
     Architecture,
+    CanonicalShallowForm,
     ScalarInputNetwork,
     evaluate,
     extract,
@@ -34,6 +37,7 @@ from relu_knots import (
     param_count,
     parse_rational,
     save_network,
+    to_forward_facing,
 )
 from relu_knots import cli, network
 from relu_knots.cli import main
@@ -846,6 +850,37 @@ class TestVerify:
         assert payload["agree"] is True
 
 
+@st.composite
+def shallow_layers(draw):
+    """(weights, biases) of a hidden layer of 1-8 units and of an output
+    layer of 1-3 rows. Weights are often 0, and units often share a knot
+    from a pool of two. A unit may instead copy an earlier one, scaled by
+    t > 0 and maybe reflected, with output weights -1/t times the
+    earlier unit's: both ramps sit on one knot, and their slopes cancel in
+    every output."""
+    width, p = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    pool = draw(st.lists(rationals, min_size=1, max_size=2))
+    w1: list[Q] = []
+    b1: list[Q] = []
+    w2: list[list[Q]] = [[] for _ in range(p)]
+    for j in range(width):
+        if j and draw(st.booleans()):
+            i = draw(st.integers(0, j - 1))
+            t = draw(rationals.filter(lambda q: q > 0))
+            t_signed = t * draw(st.sampled_from((1, -1)))
+            w1.append(t_signed * w1[i])
+            b1.append(t_signed * b1[i])
+            for row in w2:
+                row.append(-row[i] / t)
+            continue
+        w = draw(coefficients)
+        w1.append(w)
+        b1.append(-draw(st.sampled_from(pool)) * w if draw(st.booleans()) else draw(coefficients))
+        for row in w2:
+            row.append(draw(coefficients))
+    return [([[w] for w in w1], b1), (w2, [draw(coefficients) for _ in range(p)])]
+
+
 class TestCanonicalize:
     def test_shallow_network(self, shallow_file, capsys):
         assert main(["canonicalize", shallow_file]) == 0
@@ -853,14 +888,79 @@ class TestCanonicalize:
         assert payload["knot_locations"] == ["0", "1"]
         assert payload["line_slope"] == ["-1"]
         assert payload["line_intercept"] == ["1"]
-        assert payload["equivalence_check"]["matched"] is True
-        assert payload["equivalence_check"]["points"] == 100
+        assert payload["equivalence_check"] == {"matched": True}
 
     def test_deep_network_exits_5(self, reference_file, capsys):
         assert main(["canonicalize", reference_file]) == 5
 
-    def test_seed_flag_sets_the_seed(self, shallow_file, capsys):
-        for argv, seed in (([], 0), (["--seed", "5"], 5)):
-            assert main(["canonicalize", shallow_file, *argv]) == 0
-            payload = json.loads(capsys.readouterr().out)
-            assert payload["equivalence_check"]["seed"] == seed
+    def test_seed_flag_is_refused(self, shallow_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["canonicalize", shallow_file, "--seed", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            CanonicalShallowForm(1, (0, 5000), 1, ((1, 2, 0, 0),)),
+            CanonicalShallowForm(1, (0, 5001), 1, ((1, 1, 0, 0),)),
+        ],
+        ids=["doubled-slope", "moved-knot"],
+    )
+    def test_form_with_a_wrong_far_ramp_exits_4(self, wrong, tmp_path, monkeypatch, capsys):
+        # relu(x) + relu(x - 5000), and forms whose second ramp has slope 2
+        # or starts at 5001: each agrees with it on x <= 5000
+        path = tmp_path / "far.json"
+        save_network(to_network([([[1], [1]], [0, -5000]), ([[1, 1]], [0])]), path)
+        monkeypatch.setattr(cli, "to_forward_facing", lambda net: wrong)
+        assert main(["canonicalize", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["equivalence_check"] == {"matched": False}
+        assert captured.err == "error: canonical form disagrees with the network\n"
+
+    def test_extracts_once_and_never_evaluates(self, shallow_file, monkeypatch, capsys):
+        calls = {"extract": 0, "evaluate": 0}
+
+        def counting(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return counted
+
+        monkeypatch.setattr(cli, "extract", counting("extract", cli.extract))
+        for module in (cli, network):
+            monkeypatch.setattr(
+                module, "evaluate", counting("evaluate", evaluate), raising=False
+            )
+        assert main(["canonicalize", shallow_file]) == 0
+        assert calls == {"extract": 1, "evaluate": 0}
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(layers=shallow_layers(), data=st.data())
+    def test_matches_and_any_changed_entry_exits_4(self, layers, data, tmp_path, capsys):
+        path = tmp_path / "shallow.json"
+        net = to_network(layers)
+        save_network(net, path)
+        assert main(["canonicalize", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["equivalence_check"] == {"matched": True}
+        # one more 1/S on one ramp slope, c1 or c0 of one output changes
+        # that output's function: a jump, the line's slope or its value
+        form = to_forward_facing(net)
+        k = data.draw(st.integers(0, len(form.scaled_rows) - 1))
+        row = list(form.scaled_rows[k])
+        row[data.draw(st.integers(0, len(row) - 1))] += 1
+        rows = form.scaled_rows[:k] + (tuple(row),) + form.scaled_rows[k + 1 :]
+        changed = dataclasses.replace(form, scaled_rows=rows)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "to_forward_facing", lambda net: changed)
+            assert main(["canonicalize", str(path)]) == 4
+        assert json.loads(capsys.readouterr().out)["equivalence_check"] == {"matched": False}
+
+    def test_layer_above_knot_limit_exits_2(self, shallow_file, monkeypatch, capsys):
+        # the shallow network's hidden roots are 0 and 1
+        monkeypatch.setattr(network, "KNOT_LIMIT", 1)
+        assert main(["canonicalize", shallow_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: hidden layer 1 has 2 knots, above the limit of 1\n"
