@@ -26,8 +26,6 @@ class CanonicalShallowForm:
     layer: ``knot_lcd`` K is the least common denominator of the knots and
     ``scaled_knots`` holds K*x_j; ``lcd`` S is that of the slopes and the
     line, and row k of ``scaled_rows`` is S*(s_k1, ..., s_kn, c1_k, c0_k).
-    ``knot_locations``, ``ray_slopes``, ``line_slope`` and ``line_intercept``
-    build rationals on each read.
 
     ``folded_units`` lists original unit indices whose input weight was zero;
     such units are constants and were absorbed into the intercepts, since
@@ -40,23 +38,6 @@ class CanonicalShallowForm:
     lcd: int
     scaled_rows: tuple[tuple[int, ...], ...]
     folded_units: tuple[int, ...] = ()
-
-    @property
-    def knot_locations(self) -> tuple[Rational, ...]:
-        return tuple(Rational(x, self.knot_lcd) for x in self.scaled_knots)
-
-    @property
-    def ray_slopes(self) -> tuple[tuple[Rational, ...], ...]:
-        lcd = self.lcd
-        return tuple(tuple(Rational(s, lcd) for s in row[:-2]) for row in self.scaled_rows)
-
-    @property
-    def line_slope(self) -> tuple[Rational, ...]:
-        return tuple(Rational(row[-2], self.lcd) for row in self.scaled_rows)
-
-    @property
-    def line_intercept(self) -> tuple[Rational, ...]:
-        return tuple(Rational(row[-1], self.lcd) for row in self.scaled_rows)
 
 
 def to_forward_facing(net: ScalarInputNetwork) -> CanonicalShallowForm:

@@ -14,11 +14,12 @@ of a network with a hidden layer of more than 100,000 knots, refused
 during extraction; an output path that cannot be written, ``build
 --out`` or ``analyze --csv``, with one ``error: <path>: <reason>`` line,
 before any work when it is empty, its directory is missing or is not a
-directory, or the path is a directory; and an input too large for
-memory, with one ``error: out of memory`` line and no traceback), 3
-unattainable architecture, 4 mismatch (``verify``'s oracle, or
-``canonicalize``'s form, disagrees with the exact extraction), 5 wrong
-depth.
+directory, or the path is a directory; a number to print of more than
+``sys.get_int_max_str_digits()`` digits, which removes an ``analyze
+--csv`` file begun; and an input too large for memory, with one ``error:
+out of memory`` line and no traceback), 3 unattainable architecture, 4
+mismatch (``verify``'s oracle, or ``canonicalize``'s form, disagrees
+with the exact extraction), 5 wrong depth.
 """
 
 from __future__ import annotations
@@ -84,23 +85,28 @@ def write_spline_csv(trace: ExtractionTrace, path: str | Path) -> None:
     string or an infinity, and none holds a comma, a quote or a line break.
     """
     (nums, dens), den = trace.grids[-1], trace.denominator
-    with open(path, "w", newline="") as handle:
-        write = handle.write
-        write(",".join(CSV_COLUMNS) + "\r\n")
-        for k, (slope, c, knots, jumps) in enumerate(trace.outputs):
-            right = format_ratio(slope, den)
-            write(f"{k},-inf,-inf,{format_ratio(c, den)},{decimal_str(c, den)},{right},{right}\r\n")
-            for i, d in zip(knots, jumps):
-                p, q = nums[i], dens[i]
-                value, value_den = slope * p + c * q, q * den
-                left, slope, c = right, slope + d, c - d * p // q
+    handle = open(path, "w", newline="")
+    try:
+        with handle:
+            write = handle.write
+            write(",".join(CSV_COLUMNS) + "\r\n")
+            for k, (slope, c, knots, jumps) in enumerate(trace.outputs):
                 right = format_ratio(slope, den)
-                write(
-                    f"{k},{format_ratio(p, q)},{decimal_str(p, q)},"
-                    f"{format_ratio(value, value_den)},{decimal_str(value, value_den)},"
-                    f"{left},{right}\r\n"
-                )
-            write(f"{k},+inf,inf,{format_ratio(c, den)},{decimal_str(c, den)},{right},{right}\r\n")
+                write(f"{k},-inf,-inf,{format_ratio(c, den)},{decimal_str(c, den)},{right},{right}\r\n")
+                for i, d in zip(knots, jumps):
+                    p, q = nums[i], dens[i]
+                    value, value_den = slope * p + c * q, q * den
+                    left, slope, c = right, slope + d, c - d * p // q
+                    right = format_ratio(slope, den)
+                    write(
+                        f"{k},{format_ratio(p, q)},{decimal_str(p, q)},"
+                        f"{format_ratio(value, value_den)},{decimal_str(value, value_den)},"
+                        f"{left},{right}\r\n"
+                    )
+                write(f"{k},+inf,inf,{format_ratio(c, den)},{decimal_str(c, den)},{right},{right}\r\n")
+    except BaseException:
+        os.remove(path)  # a file begun and not finished is not left behind
+        raise
 
 
 class _CliError(Exception):
@@ -298,10 +304,10 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
             )
         )
     payload = {
-        "knot_locations": [format_rational(x) for x in form.knot_locations],
-        "ray_slopes": [[format_rational(s) for s in row] for row in form.ray_slopes],
-        "line_slope": [format_rational(c) for c in form.line_slope],
-        "line_intercept": [format_rational(c) for c in form.line_intercept],
+        "knot_locations": [format_ratio(x, knot_lcd) for x in form.scaled_knots],
+        "ray_slopes": [[format_ratio(s, lcd) for s in row[:-2]] for row in form.scaled_rows],
+        "line_slope": [format_ratio(row[-2], lcd) for row in form.scaled_rows],
+        "line_intercept": [format_ratio(row[-1], lcd) for row in form.scaled_rows],
         "folded_units": list(form.folded_units),
         "equivalence_check": {"matched": matched},
     }

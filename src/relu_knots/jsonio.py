@@ -66,33 +66,23 @@ def _list_at(value: Any, path: str) -> list:
     return value
 
 
+def _ratios_at(value: Any, path: str) -> list[tuple[int, int]]:
+    return [_ratio_at(entry, f"{path}[{i}]") for i, entry in enumerate(_list_at(value, path))]
+
+
 def _layer_at(value: Any, path: str) -> DenseLayer:
     if not isinstance(value, dict):
         raise _fail(path, f"expected an object, got {type(value).__name__}")
-    unknown = set(value) - {"weights", "biases"}
-    if unknown:
+    if unknown := set(value) - {"weights", "biases"}:
         raise _fail(path, f"unknown keys {sorted(unknown)}")
-    if "weights" not in value:
-        raise _fail(path, "missing key 'weights'")
-    if "biases" not in value:
-        raise _fail(path, "missing key 'biases'")
+    for key in ("weights", "biases"):
+        if key not in value:
+            raise _fail(path, f"missing key {key!r}")
     rows = _list_at(value["weights"], f"{path}.weights")
-    weights = [
-        [
-            _ratio_at(entry, f"{path}.weights[{i}][{j}]")
-            for j, entry in enumerate(_list_at(row, f"{path}.weights[{i}]"))
-        ]
-        for i, row in enumerate(rows)
-    ]
-    biases = [
-        _ratio_at(entry, f"{path}.biases[{i}]")
-        for i, entry in enumerate(_list_at(value["biases"], f"{path}.biases"))
-    ]
-    # every n/d as written over the lcm of the ds; from_integers reduces
-    lcd = math.lcm(*(d for row in (*weights, biases) for _, d in row))
-    scaled = [[n * (lcd // d) for n, d in row] for row in weights]
+    weights = [_ratios_at(row, f"{path}.weights[{i}]") for i, row in enumerate(rows)]
+    biases = _ratios_at(value["biases"], f"{path}.biases")
     try:
-        return DenseLayer.from_integers(lcd, scaled, [n * (lcd // d) for n, d in biases])
+        return DenseLayer.from_ratios(weights, biases)
     except ValueError as exc:
         raise _fail(path, str(exc)) from exc
 

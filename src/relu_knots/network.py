@@ -66,17 +66,31 @@ class DenseLayer:
     def __init__(
         self, weights: Iterable[Iterable[RationalLike]], biases: Iterable[RationalLike]
     ) -> None:
-        lcd, (*rows, scaled_biases) = over_lcd(
+        self._hold_ratios(
             [as_rational(v).as_integer_ratio() for v in row] for row in (*weights, biases)
         )
-        self._hold(lcd, tuple(rows), scaled_biases)
+
+    @classmethod
+    def from_ratios(
+        cls, weights: Iterable[Iterable[tuple[int, int]]], biases: Iterable[tuple[int, int]]
+    ) -> DenseLayer:
+        """``DenseLayer`` of the n/d for int pairs (n, d), d >= 1, reduced or
+        not, brought to lowest terms pair by pair without building a rational."""
+        rows = [list(row) for row in (*weights, biases)]
+        if (least := min((d for row in rows for _, d in row), default=1)) < 1:
+            raise ValueError(f"denominator must be at least 1, got {least}")
+        layer = object.__new__(cls)
+        layer._hold_ratios(rows)
+        return layer
 
     @classmethod
     def from_integers(
         cls, lcd: int, weights: Iterable[Iterable[int]], biases: Iterable[int]
     ) -> DenseLayer:
         """The layer of weights/lcd and biases/lcd, for ints and lcd >= 1,
-        reduced to its least common denominator without building a rational."""
+        reduced by one gcd without building a rational: cheaper than
+        ``from_ratios`` on the short denominators of ``random_network``, its
+        one caller (see there), but slow on long ones."""
         if lcd < 1:
             raise ValueError(f"lcd must be at least 1, got {lcd}")
         rows = tuple(map(tuple, weights))
@@ -88,6 +102,11 @@ class DenseLayer:
         layer = object.__new__(cls)
         layer._hold(lcd, rows, biases)
         return layer
+
+    def _hold_ratios(self, rows: Iterable[Iterable[tuple[int, int]]]) -> None:
+        """The one pair path: rows of (n, d), d > 0, biases last, in lowest terms."""
+        lcd, (*rows, biases) = over_lcd(rows)
+        self._hold(lcd, tuple(rows), biases)
 
     def _hold(self, lcd: int, rows: tuple[tuple[int, ...], ...], biases: tuple[int, ...]) -> None:
         """Check the shape and store the integer form."""

@@ -2,17 +2,15 @@
 
 Every value in this package is an exact rational: a ``fractions.Fraction``,
 reduced, arbitrary precision, positive denominator. Where values come by
-the thousand they stay in Python ints: a ``DenseLayer`` holds its weights
-and biases as ints over their least common denominator (``over_lcd``)
-and builds rationals only when they are read, so ``evaluate``, ``extract``,
-the float oracle and the random stress search read ints; ``canonical``
-computes the forward-facing form from the layers' ints and holds it in
-ints the same way; ``evaluate`` and ``eval_canonical`` compute in ints,
-``extract`` keeps every knot as a reduced int pair, the CLI's knot
-reports, spline CSV and network JSON read those ints, and ``format_ratio``
-and ``decimal_str`` render an int pair without building a rational. A
-network file is read the same way: ``parse_ratio`` reads each parameter as
-an int pair.
+the thousand they stay in Python ints. A ``DenseLayer`` holds its weights
+and biases, and ``canonical`` its forward-facing form, as ints over their
+least common denominator; ``evaluate``, ``extract`` (every knot a reduced
+int pair), ``eval_canonical``, the float oracle and the stress search
+compute in ints, and the CLI prints them with ``format_ratio`` and
+``decimal_str``. ``DenseLayer(...)`` reduces its rationals' int pairs one
+by one through ``over_lcd``, and so do a network file's layers, read by
+``parse_ratio`` as int pairs (``DenseLayer.from_ratios``); only drawn
+layers use ``from_integers``.
 Floats are rejected at the API boundary: knot existence is an equality
 question (is a slope change zero, does a root coincide with a breakpoint)
 and binary rounding would make the answers depend on how the inputs
@@ -24,6 +22,7 @@ from __future__ import annotations
 import decimal
 import math
 import re
+import sys
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -100,11 +99,14 @@ def format_rational(value: Rational) -> str:
 
 
 def format_ratio(num: int, den: int) -> str:
-    """``format_rational`` of num/den (den > 0), reduced with one gcd."""
+    """``format_rational`` of num/den (den > 0); ``ValueError`` past Python's digit limit."""
     g = math.gcd(num, den)
     if g != 1:
         num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # past Python's limit for printing an int
+        raise ValueError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def decimal_str(num: int, den: int) -> str:

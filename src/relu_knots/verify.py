@@ -412,10 +412,11 @@ def random_network(
     gave with ``randint`` and leaves ``rng`` in the same state.
     ``stress_bound`` calls this once per trial on one generator.
 
-    A draw builds no rational. Each layer scales every drawn n/d, as drawn,
-    to n*(L // d) over the lcm L of the layer's denominators, and
-    ``DenseLayer.from_integers`` divides L and those ints by their gcd, which
-    is L over the least common denominator: the layer's least form.
+    A draw builds no rational. Each layer scales every drawn n/d to
+    n*(L // d) over the lcm L of its denominators, and ``DenseLayer.from_integers``
+    divides out the gcd of L and those ints: cheap, as no d exceeds
+    max_denominator. Reduced pair by pair (``DenseLayer.from_ratios``), a
+    ``random`` round's 40 draws took 13.5 ms, not 7.7 (best of 150, 2 cores).
     """
     if max_numerator < 0:
         raise ValueError(f"max_numerator must be non-negative, got {max_numerator}")

@@ -44,10 +44,11 @@ class TestToForwardFacing:
         # One forward and one reflected unit; worked out by hand.
         net = shallow([1, -1], [0, 1], [[1, 1]], [0])
         form = to_forward_facing(net)
-        assert form.knot_locations == (Q(0), Q(1))
-        assert form.ray_slopes == ((Q(1), Q(1)),)
-        assert form.line_slope == (Q(-1),)
-        assert form.line_intercept == (Q(1),)
+        assert tuple(Q(x, form.knot_lcd) for x in form.scaled_knots) == (Q(0), Q(1))
+        (row,) = form.scaled_rows
+        assert tuple(Q(s, form.lcd) for s in row[:-2]) == (Q(1), Q(1))
+        assert Q(row[-2], form.lcd) == Q(-1)
+        assert Q(row[-1], form.lcd) == Q(1)
         assert form.folded_units == ()
         assert eval_canonical(form, 0) == [Q(1)] == evaluate(net, 0)
         assert eval_canonical(form, 2) == [Q(2)] == evaluate(net, 2)
@@ -55,8 +56,9 @@ class TestToForwardFacing:
     def test_all_positive_weights_leave_no_line(self):
         net = shallow([1, 2, 3], [0, -1, 5], [[1, 1, 1]], [Q(7, 2)])
         form = to_forward_facing(net)
-        assert form.line_slope == (Q(0),)
-        assert form.line_intercept == (Q(7, 2),)
+        (row,) = form.scaled_rows
+        assert Q(row[-2], form.lcd) == Q(0)
+        assert Q(row[-1], form.lcd) == Q(7, 2)
 
     def test_sawtooth_layer_parameters(self):
         # Unscaled alternating output weights over the sawtooth first layer:
@@ -66,30 +68,34 @@ class TestToForwardFacing:
         b2 = Q(-9, 4)
         net = ScalarInputNetwork((layer,), DenseLayer((unscaled,), (b2,)))
         form = to_forward_facing(net)
-        assert form.knot_locations == tuple(Q(j) for j in range(8))
-        assert form.ray_slopes == (unscaled,)
-        assert form.line_slope == (Q(-1),)
-        assert form.line_intercept == (b2 + 2,)
+        assert tuple(Q(x, form.knot_lcd) for x in form.scaled_knots) == tuple(map(Q, range(8)))
+        (row,) = form.scaled_rows
+        assert tuple(Q(s, form.lcd) for s in row[:-2]) == unscaled
+        assert Q(row[-2], form.lcd) == Q(-1)
+        assert Q(row[-1], form.lcd) == b2 + 2
 
     def test_zero_weight_unit_folds_into_intercept(self):
         net = shallow([1, 0], [0, 5], [[1, 3]], [2])
         form = to_forward_facing(net)
         assert form.folded_units == (1,)
-        assert form.knot_locations == (Q(0),)
-        assert form.line_intercept == (Q(2) + 3 * 5,)
+        assert tuple(Q(x, form.knot_lcd) for x in form.scaled_knots) == (Q(0),)
+        (row,) = form.scaled_rows
+        assert Q(row[-1], form.lcd) == Q(2) + 3 * 5
         for x in (-2, 0, 7):
             assert eval_canonical(form, x) == evaluate(net, x)
 
     def test_zero_weight_negative_bias_folds_to_nothing(self):
         net = shallow([1, 0], [0, -5], [[1, 3]], [2])
         form = to_forward_facing(net)
-        assert form.line_intercept == (Q(2),)
+        (row,) = form.scaled_rows
+        assert Q(row[-1], form.lcd) == Q(2)
 
     def test_tied_knot_locations_are_kept_distinct(self):
         net = shallow([1, 2], [-1, -2], [[1, 1]], [0])  # both knots at x=1
         form = to_forward_facing(net)
-        assert form.knot_locations == (Q(1), Q(1))
-        assert form.ray_slopes == ((Q(1), Q(2)),)
+        assert tuple(Q(x, form.knot_lcd) for x in form.scaled_knots) == (Q(1), Q(1))
+        (row,) = form.scaled_rows
+        assert tuple(Q(s, form.lcd) for s in row[:-2]) == (Q(1), Q(2))
         for x in (0, 1, 3):
             assert eval_canonical(form, x) == evaluate(net, x)
 
@@ -122,12 +128,11 @@ class TestEvalCanonical:
         unscaled = tuple(a / 2 for a in witness.combination_weights)
         net = ScalarInputNetwork((layer,), DenseLayer((unscaled,), (Q(-9, 4),)))
         form = to_forward_facing(net)
-        value = form.line_intercept[0]
-        slope = form.line_slope[0]
+        *ramps, slope, value = (Q(s, form.lcd) for s in form.scaled_rows[0])
         expected = []
         for j in range(8):
             expected.append(value if j == 0 else expected[-1] + slope)
-            slope += form.ray_slopes[0][j]
+            slope += ramps[j]
         got = [eval_canonical(form, j)[0] for j in range(8)]
         assert got == expected
         assert got == [Q(-1, 4), Q(1, 4)] * 4
@@ -147,7 +152,7 @@ class TestEquivalence:
         rng = random.Random(23)
         net = random_network(rng, Architecture((5,)))
         form = to_forward_facing(net)
-        for xj in form.knot_locations:
+        for xj in (Q(x, form.knot_lcd) for x in form.scaled_knots):
             ramp = relu(LinearSpline(1, -xj))
             assert ramp.initial_slope == 0
             assert ramp.breakpoints == ((xj, Q(1)),)
@@ -164,17 +169,19 @@ def forms_at_points(draw):
     p = draw(st.integers(1, 3))
     rows = tuple(tuple(draw(ints) for _ in range(len(knots) + 2)) for _ in range(p))
     form = CanonicalShallowForm(knot_lcd, knots, lcd, rows)
-    x = draw(st.sampled_from(form.knot_locations) if knots and draw(st.booleans()) else rationals)
+    locations = [Q(k, knot_lcd) for k in knots]
+    x = draw(st.sampled_from(locations) if knots and draw(st.booleans()) else rationals)
     return form, x
 
 
 @given(case=forms_at_points())
 def test_eval_canonical_matches_ramp_sum(case):
     form, x = case
-    expected = [
-        c1 * x + c0 + sum(s * max(Q(0), x - xj) for s, xj in zip(row, form.knot_locations))
-        for row, c1, c0 in zip(form.ray_slopes, form.line_slope, form.line_intercept)
-    ]
+    knots = [Q(k, form.knot_lcd) for k in form.scaled_knots]
+    expected = []
+    for row in form.scaled_rows:
+        *slopes, c1, c0 = (Q(s, form.lcd) for s in row)
+        expected.append(c1 * x + c0 + sum(s * max(Q(0), x - xj) for s, xj in zip(slopes, knots)))
     got = eval_canonical(form, x)
     assert got == expected
     assert all(isinstance(y, Rational) for y in got)
@@ -208,13 +215,15 @@ def test_forward_facing_matches_rational_rewrite(net):
     w1, b1 = [w for (w,) in hidden.weights], hidden.biases
     kept = sorted((j for j, w in enumerate(w1) if w), key=lambda j: -b1[j] / w1[j])
     form = to_forward_facing(net)
-    assert form.knot_locations == tuple(-b1[j] / w1[j] for j in kept)
+    knots = tuple(Q(x, form.knot_lcd) for x in form.scaled_knots)
+    assert knots == tuple(-b1[j] / w1[j] for j in kept)
+    rows = [[Q(s, form.lcd) for s in row] for row in form.scaled_rows]
     slopes = tuple(tuple(row[j] * abs(w1[j]) for j in kept) for row in out.weights)
-    assert form.ray_slopes == slopes
-    assert form.line_slope == tuple(
+    assert tuple(tuple(row[:-2]) for row in rows) == slopes
+    assert tuple(row[-2] for row in rows) == tuple(
         sum(v * w for v, w in zip(row, w1) if w < 0) for row in out.weights
     )
-    assert form.line_intercept == tuple(
+    assert tuple(row[-1] for row in rows) == tuple(
         c + sum(v * (b if w < 0 else max(Q(0), b)) for v, w, b in zip(row, w1, b1) if w <= 0)
         for row, c in zip(out.weights, out.biases)
     )

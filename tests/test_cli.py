@@ -5,6 +5,7 @@ import dataclasses
 import errno
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -42,6 +43,8 @@ from relu_knots import (
 from relu_knots import cli, network
 from relu_knots.cli import main
 from relu_knots.construct import build_tight_network, example_tight_network
+from relu_knots.rational import format_ratio
+from relu_knots.verify import random_network
 
 
 @pytest.fixture
@@ -442,6 +445,36 @@ def exponent_decimals() -> ScalarInputNetwork:
 def zero_valued_knots() -> ScalarInputNetwork:
     """A hat, 0 at its knots 0 and 2 and 1 at its knot 1, flat outside."""
     return to_network([([[1], [1], [1]], [0, -1, -2]), ([[1, -2, 1]], [0])])
+
+
+class TestDigitLimit:
+    # knots of up to 15,057 bits, past Python's 4,300 digits for int to text
+    @pytest.fixture
+    def long_knots_file(self, tmp_path):
+        arch = Architecture((8, 8, 8), output_dim=2)
+        path = tmp_path / "long.json"
+        save_network(random_network(random.Random(10), arch, 10**100, 10**100), path)
+        return str(path)
+
+    def test_format_ratio_names_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError, match=f"^an integer has more than {limit} digits$"):
+            format_ratio(10**limit, 3)
+        assert format_ratio(10 ** (limit - 1), 1) == "1" + "0" * (limit - 1)
+
+    @pytest.mark.parametrize("flags", [["--layers", "--json"], ["--csv"]], ids=["layers", "csv"])
+    def test_knots_past_the_limit_exit_2(self, flags, long_knots_file, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = ["analyze", long_knots_file, *flags] + ([str(out)] if "--csv" in flags else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == f"error: an integer has more than {limit} digits\n"
+        assert not out.exists()  # the CSV begun is removed, not left with its header
+
+    def test_counts_alone_still_print(self, long_knots_file, capsys):
+        assert main(["analyze", long_knots_file, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["output_knot_count"] == 33
 
 
 class TestSplineCsv:
@@ -917,6 +950,15 @@ class TestCanonicalize:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["equivalence_check"] == {"matched": False}
         assert captured.err == "error: canonical form disagrees with the network\n"
+
+    def test_builds_no_rational(self, tmp_path, monkeypatch, capsys):
+        # the form is printed from its ints, as analyze prints its knots
+        path = tmp_path / "wide.json"
+        save_network(random_network(random.Random(2701), Architecture((40,), 3)), path)
+        with fractions_built(monkeypatch) as built:
+            assert main(["canonicalize", str(path)]) == 0
+        assert built == [0]
+        assert len(json.loads(capsys.readouterr().out)["knot_locations"]) > 30
 
     def test_extracts_once_and_never_evaluates(self, shallow_file, monkeypatch, capsys):
         calls = {"extract": 0, "evaluate": 0}

@@ -6,6 +6,8 @@ from fractions import Fraction as Q
 import pytest
 
 from relu_knots import (
+    DenseLayer,
+    ScalarInputNetwork,
     SchemaError,
     load_network,
     network_from_dict,
@@ -53,6 +55,26 @@ class TestRoundTrip:
         net = network_from_dict(doc)
         assert net.hidden_layers[0].biases == (Q(1), Q(1, 2))
         assert net.output_layer.biases == (Q(-1, 2),)
+
+
+    def test_load_reduces_pair_by_pair(self, tmp_path, monkeypatch):
+        # a file's layers take DenseLayer's pair path, not the one gcd over
+        # the layer that is slow once the denominators are long
+        net = example_tight_network()
+        d = 10**59 + 7
+        long = ScalarInputNetwork(
+            (DenseLayer([[Q(1, d)], [Q(-1, d + 1)]], [Q(1, d), Q(2, d + 2)]),),
+            DenseLayer([[1, 1]], [0]),
+        )
+        save_network(net, tmp_path / "reference.json")
+        save_network(long, tmp_path / "long.json")
+
+        def refuse(*args):
+            raise AssertionError("load_network called DenseLayer.from_integers")
+
+        monkeypatch.setattr(DenseLayer, "from_integers", refuse)
+        assert load_network(tmp_path / "reference.json") == net
+        assert load_network(tmp_path / "long.json") == long
 
 
 class TestSchemaErrors:

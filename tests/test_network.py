@@ -3,10 +3,11 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction as Q
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -103,6 +104,23 @@ class TestEvaluateAgainstReference:
 wide_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**3)
 
 
+@st.composite
+def pair_layers(draw):
+    """Rows of pairs (n, d), not reduced: numerators up to 10^6 and zeros,
+    denominators up to 10^3 and some of 60 digits, and repeated pairs."""
+    pair = st.builds(
+        lambda n, d, k: (n * k, d * k),
+        st.just(0) | st.integers(-(10**6), 10**6),
+        st.integers(1, 10**3) | st.integers(10**59, 10**60 - 1),
+        st.integers(1, 12),
+    )
+    pool = draw(st.lists(pair, min_size=1, max_size=3))
+    entry = pair | st.sampled_from(pool)
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    weights = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    return weights, [draw(entry) for _ in range(rows)]
+
+
 class TestDenseLayer:
     # one layer's parameters made four ways: as Fractions, as ints where
     # they are whole, as "n/d" strings (not reduced), and in the int
@@ -182,6 +200,41 @@ class TestDenseLayer:
             DenseLayer.from_integers(1, ((1,),), (0, 1))
         with pytest.raises(ValueError, match="at least one unit"):
             DenseLayer.from_integers(1, (), ())
+
+    def test_pair_constructor_checks_its_input(self):
+        for d in (0, -3):
+            with pytest.raises(ValueError, match=f"denominator must be at least 1, got {d}"):
+                DenseLayer.from_ratios((((1, 2),), ((5, d),)), ((0, 1), (1, 1)))
+        with pytest.raises(ValueError, match="same length"):
+            DenseLayer.from_ratios((((1, 1), (2, 1)), ((1, 1),)), ((0, 1), (0, 1)))
+        with pytest.raises(ValueError, match="does not match unit count"):
+            DenseLayer.from_ratios((((1, 1),),), ((0, 1), (1, 1)))
+        with pytest.raises(ValueError, match="at least one unit"):
+            DenseLayer.from_ratios((), ())
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(layer=pair_layers())
+    def test_four_paths_reduce_pairs_alike(self, layer, tmp_path):
+        weights, biases = layer
+        made = DenseLayer.from_ratios(weights, biases)
+        assert gcd(made.lcd, *chain(*made.scaled_weights), *made.scaled_biases) == 1
+        rationals = DenseLayer([[Q(*e) for e in row] for row in weights], [Q(*e) for e in biases])
+        assert rationals == made
+        lcd = lcm(*(d for row in (*weights, biases) for _, d in row))
+        scaled = [[n * (lcd // d) for n, d in row] for row in (*weights, biases)]
+        assert DenseLayer.from_integers(lcd, scaled[:-1], scaled[-1]) == made
+        # as the output layer of a file, after identity units of the input,
+        # saved reduced and then written as drawn
+        width, path = len(weights[0]), tmp_path / "pairs.json"
+        save_network(ScalarInputNetwork((DenseLayer([[1]] * width, [0] * width),), made), path)
+        assert load_network(path).output_layer == made
+        doc = json.loads(path.read_text())
+        doc["output_layer"] = {
+            "weights": [[f"{n}/{d}" for n, d in row] for row in weights],
+            "biases": [f"{n}/{d}" for n, d in biases],
+        }
+        path.write_text(json.dumps(doc))
+        assert load_network(path).output_layer == made
 
 
 class TestExtract:

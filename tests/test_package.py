@@ -48,6 +48,18 @@ def test_only_rational_imports_fractions():
     assert importers == {"fractions": ["rational.py"], "gmpy2": []}
 
 
+def test_only_drawn_layers_use_the_whole_layer_gcd():
+    # from_integers' one gcd over a layer is slow on long denominators, so
+    # parsed input reduces pair by pair; only random_network's draws use it
+    callers = []
+    for path in sorted(Path(relu_knots.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "from_integers":
+                    callers.append(path.name)
+    assert callers == ["verify.py"]
+
+
 def test_readme_library_snippet_runs():
     # the one python block of README.md runs as written, so it cannot drift
     # from the package
