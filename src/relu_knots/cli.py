@@ -16,15 +16,16 @@ during extraction; an output path that cannot be written, ``build
 before any work when it is empty, its directory is missing or is not a
 directory, or the path is a directory; a number to print of more than
 ``sys.get_int_max_str_digits()`` digits, which removes an ``analyze
---csv`` file begun; and an input too large for memory, with one ``error:
-out of memory`` line and no traceback), 3 unattainable architecture, 4
-mismatch (``verify``'s oracle, or ``canonicalize``'s form, disagrees
-with the exact extraction), 5 wrong depth.
+--csv`` file the run created; and an input too large for memory, with
+one ``error: out of memory`` line and no traceback), 3 unattainable
+architecture, 4 mismatch (``verify``'s oracle, or ``canonicalize``'s
+form, disagrees with the exact extraction), 5 wrong depth.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import errno
 import json
@@ -83,9 +84,14 @@ def write_spline_csv(trace: ExtractionTrace, path: str | Path) -> None:
     ``\\r\\n`` as RFC 4180 (and ``csv.writer``) has it. No cell is quoted:
     every cell is an int, a ``format_ratio`` string, a ``decimal_str``
     string or an infinity, and none holds a comma, a quote or a line break.
+    A write that fails removes the file only if this call created it: a
+    path that already named something (a file, a device, a pipe) stays.
     """
     (nums, dens), den = trace.grids[-1], trace.denominator
-    handle = open(path, "w", newline="")
+    try:
+        handle, created = open(path, "x", newline=""), True
+    except FileExistsError:
+        handle, created = open(path, "w", newline=""), False
     try:
         with handle:
             write = handle.write
@@ -105,7 +111,9 @@ def write_spline_csv(trace: ExtractionTrace, path: str | Path) -> None:
                     )
                 write(f"{k},+inf,inf,{format_ratio(c, den)},{decimal_str(c, den)},{right},{right}\r\n")
     except BaseException:
-        os.remove(path)  # a file begun and not finished is not left behind
+        if created:  # only the regular file this call made, never a device or pipe
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise
 
 

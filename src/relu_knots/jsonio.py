@@ -73,11 +73,13 @@ def _ratios_at(value: Any, path: str) -> list[tuple[int, int]]:
 def _layer_at(value: Any, path: str) -> DenseLayer:
     if not isinstance(value, dict):
         raise _fail(path, f"expected an object, got {type(value).__name__}")
-    if unknown := set(value) - {"weights", "biases"}:
+    unknown = set(value) - {"weights", "biases"}
+    if unknown:
         raise _fail(path, f"unknown keys {sorted(unknown)}")
-    for key in ("weights", "biases"):
-        if key not in value:
-            raise _fail(path, f"missing key {key!r}")
+    if "weights" not in value:
+        raise _fail(path, "missing key 'weights'")
+    if "biases" not in value:
+        raise _fail(path, "missing key 'biases'")
     rows = _list_at(value["weights"], f"{path}.weights")
     weights = [_ratios_at(row, f"{path}.weights[{i}]") for i, row in enumerate(rows)]
     biases = _ratios_at(value["biases"], f"{path}.biases")

@@ -6,8 +6,10 @@ import errno
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -471,6 +473,33 @@ class TestDigitLimit:
         limit = sys.get_int_max_str_digits()
         assert captured.err == f"error: an integer has more than {limit} digits\n"
         assert not out.exists()  # the CSV begun is removed, not left with its header
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("through_link", [False, True], ids=["fifo", "link-to-fifo"])
+    def test_csv_leaves_a_path_it_did_not_create(self, through_link, long_knots_file, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        target = fifo
+        if through_link:
+            target = tmp_path / "link.csv"
+            target.symlink_to(fifo)
+        drained: list[bytes] = []  # the writer's open blocks until a reader opens
+        reader = threading.Thread(target=lambda: drained.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["analyze", long_knots_file, "--csv", str(target)]) == 2
+        reader.join(timeout=30)
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == f"error: an integer has more than {limit} digits\n"
+        assert stat.S_ISFIFO(os.stat(target).st_mode)
+        assert target.is_symlink() == through_link
+        assert drained[0].startswith(b"output_index,")
+
+    def test_csv_over_an_existing_file_keeps_it(self, long_knots_file, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        assert main(["analyze", long_knots_file, "--csv", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: an integer has more than ")
+        assert out.read_text().startswith("output_index,")  # overwritten, not removed
 
     def test_counts_alone_still_print(self, long_knots_file, capsys):
         assert main(["analyze", long_knots_file, "--json"]) == 0
