@@ -6,20 +6,12 @@ optional CSV spline export), ``verify`` (sampling oracle against exact
 extraction, optional random stress search), ``canonicalize`` (forward-facing
 form of a one-hidden-layer network, compared exactly with its extraction).
 
-Exit codes: 0 success, 1 internal failure (a construction or stress
-search that broke its own guarantee), 2 input error (included: a ``build``
-of more than 100,000 knots, or whose p outputs hold more than 200,000
-knots in all, p x bound; an ``analyze``, ``verify`` or ``canonicalize``
-of a network with a hidden layer of more than 100,000 knots, refused
-during extraction; an output path that cannot be written, ``build
---out`` or ``analyze --csv``, with one ``error: <path>: <reason>`` line,
-before any work when it is empty, its directory is missing or is not a
-directory, or the path is a directory; a number to print of more than
-``sys.get_int_max_str_digits()`` digits, which removes an ``analyze
---csv`` file the run created; and an input too large for memory, with
-one ``error: out of memory`` line and no traceback), 3 unattainable
-architecture, 4 mismatch (``verify``'s oracle, or ``canonicalize``'s
-form, disagrees with the exact extraction), 5 wrong depth.
+Every report but ``build``'s is one payload, printed by ``_render``: as
+JSON, or as one ``key: value`` line per key.
+
+Exit codes: 0 success, 1 internal failure, 2 input error, 3 unattainable
+architecture, 4 mismatch, 5 wrong depth; README's exit-code table lists
+the cases of each.
 """
 
 from __future__ import annotations
@@ -46,7 +38,7 @@ from .canonical import to_forward_facing
 from .construct import build_tight_network
 from .jsonio import SchemaError, load_network, network_to_dict, save_network
 from .network import KNOT_LIMIT, ExtractionTrace, extract
-from .rational import decimal_str, format_ratio, format_rational, parse_rational
+from .rational import decimal_str, digit_limit_error, format_ratio, format_rational, parse_rational
 from .verify import SamplingConfig, oracle_agreement, stress_bound
 
 EXIT_OK = 0
@@ -146,6 +138,22 @@ def _output_directory(path: str) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
+def _render(payload: dict, as_json: bool) -> str:
+    """``payload`` as text: with ``--json`` the indented JSON object, else
+    one ``key: value`` line per key, a string bare and any other value as
+    JSON writes it. An int past Python's digit limit is refused whole, so
+    nothing of the report is printed."""
+    try:
+        if as_json:
+            return json.dumps(payload, indent=2)
+        return "\n".join(
+            f"{key}: {value if isinstance(value, str) else json.dumps(value)}"
+            for key, value in payload.items()
+        )
+    except ValueError:  # past Python's limit for printing an int
+        raise digit_limit_error() from None
+
+
 def cmd_bound(args: argparse.Namespace) -> int:
     arch = Architecture(args.widths, output_dim=args.p)
     report = {
@@ -157,15 +165,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "param_count": param_count(arch),
         "tightness": "tight" if tightness_eligibility(arch) is None else "not_tight",
     }
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(f"widths: {' '.join(map(str, arch.widths))}   outputs: {arch.output_dim}")
-        print(f"knot bound: {report['bound']}")
-        print(f"per-layer bounds: {report['per_layer_bounds']}")
-        print(f"approximate bound (width product): {report['approx_bound']}")
-        print(f"parameter count: {report['param_count']}")
-        print(f"tightness: {report['tightness']}")
+    print(_render(report, args.json))
     return EXIT_OK
 
 
@@ -208,8 +208,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _on_file(args.csv, _output_directory)
     trace = extract(net)
     grids, output_knots = trace.grids, trace.output_knot_indices
-    if args.csv is not None:
-        _on_file(args.csv, write_spline_csv, trace)
     arch = net.architecture
     bound = knot_bound(arch)
     payload = {
@@ -225,20 +223,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         payload["per_layer_knots"] = [list(map(format_ratio, *grid)) for grid in grids]
         nums, dens = grids[-1]
         payload["output_knots"] = [format_ratio(nums[k], dens[k]) for k in output_knots]
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"widths: {' '.join(map(str, net.widths))}   outputs: {net.output_dim}")
-        print(f"per-layer knot counts: {payload['per_layer_knot_counts']}")
-        print(f"output knots: {payload['output_knot_count']}")
-        print(f"bound: {bound}   meets bound: {payload['meets_bound']}")
-        print(f"tightness: {payload['tightness']}")
-        if args.layers:
-            for i, layer in enumerate(payload["per_layer_knots"], start=1):
-                print(f"layer {i} knots: {layer}")
-            print(f"output knot locations: {payload['output_knots']}")
-        if args.csv is not None:
-            print(f"wrote {args.csv}")
+    text = _render(payload, args.json)  # before the CSV: a refused report writes none
+    if args.csv is not None:
+        _on_file(args.csv, write_spline_csv, trace)
+    print(text)
     return EXIT_OK
 
 
@@ -265,17 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     if stress is not None:
         payload["stress"] = dataclasses.asdict(stress)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(agreement.summary())
-        if stress is not None:
-            print(
-                f"stress: max observed {stress.max_observed} of bound {stress.bound} "
-                f"over {stress.trials} trials (seed {stress.seed})"
-            )
-            if stress.gap is not None:
-                print(f"gap {stress.gap} below an unattainable bound ({stress.note})")
+    print(_render(payload, args.json))
     if not payload["agree"]:
         raise _CliError(agreement.mismatch(), EXIT_MISMATCH)
     return EXIT_OK
@@ -319,7 +297,7 @@ def cmd_canonicalize(args: argparse.Namespace) -> int:
         "folded_units": list(form.folded_units),
         "equivalence_check": {"matched": matched},
     }
-    print(json.dumps(payload, indent=2))
+    print(_render(payload, True))
     if not matched:
         raise _CliError("canonical form disagrees with the network", EXIT_MISMATCH)
     return EXIT_OK

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from pathlib import Path
 from typing import Any
 
 from .network import DenseLayer, ScalarInputNetwork
-from .rational import format_ratio, parse_ratio
+from .rational import digit_limit_error, format_ratio, parse_ratio
 
 
 class SchemaError(ValueError):
@@ -138,8 +137,7 @@ def load_network(path: str | Path) -> ScalarInputNetwork:
     except RecursionError as exc:
         raise SchemaError("$: nested too deeply to parse") from exc
     except ValueError as exc:  # an int past Python's digit limit
-        digits = sys.get_int_max_str_digits()
-        raise SchemaError(f"$: an integer has more than {digits} digits") from exc
+        raise SchemaError(f"$: {digit_limit_error()}") from exc
     return network_from_dict(data)
 
 

@@ -106,7 +106,12 @@ def format_ratio(num: int, den: int) -> str:
     try:
         return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:  # past Python's limit for printing an int
-        raise ValueError(f"an integer has more than {sys.get_int_max_str_digits()} digits") from None
+        raise digit_limit_error() from None
+
+
+def digit_limit_error() -> ValueError:
+    """The error of an int past Python's limit on writing an int as text."""
+    return ValueError(f"an integer has more than {sys.get_int_max_str_digits()} digits")
 
 
 def decimal_str(num: int, den: int) -> str:

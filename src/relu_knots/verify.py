@@ -322,19 +322,6 @@ class AgreementReport:
         close = [n * steps_den <= steps * d for n, d in gaps]
         return sum(left or right for left, right in zip([False, *close], [*close, False]))
 
-    def summary(self) -> str:
-        status = "agree" if self.agree else "MISMATCH"
-        outside = (
-            f", {self.exact_outside_interval} exact not compared"
-            " (outside the interval or on an end point)"
-            if self.exact_outside_interval
-            else ""
-        )
-        return (
-            f"{status}: detected {len(self.detected)}, exact {len(self.exact_points)}"
-            f"{outside} (grid step {self.config.grid_step:.3g})"
-        )
-
     def mismatch(self) -> str:
         """The message of a disagreement. When the counts differ and two
         exact knots are too close for the grid, it names their gap and the

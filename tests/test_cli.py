@@ -95,11 +95,15 @@ def narrow_file(tmp_path):
 class TestBound:
     def test_reference_architecture(self, capsys):
         assert main(["bound", "6", "3", "2", "--p", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "knot bound: 83" in out
-        assert "[6, 27, 83]" in out
-        assert "36" in out and "47" in out
-        assert "tight" in out
+        assert capsys.readouterr().out == (
+            "widths: [6, 3, 2]\n"
+            "p: 2\n"
+            "bound: 83\n"
+            "per_layer_bounds: [6, 27, 83]\n"
+            "approx_bound: 36\n"
+            "param_count: 47\n"
+            "tightness: tight\n"
+        )
 
     def test_json_output(self, capsys):
         assert main(["bound", "4", "--json"]) == 0
@@ -118,6 +122,46 @@ class TestBound:
         with pytest.raises(SystemExit) as exc:
             main(["bound", "three"])
         assert exc.value.code == 2
+
+    def test_module_entry_point(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)}
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "relu_knots.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+
+        done = run("bound", "6", "3", "2", "--p", "2", "--json")
+        assert done.returncode == 0 and done.stderr == ""
+        assert json.loads(done.stdout)["per_layer_bounds"] == [6, 27, 83]
+        refused = run("bound", *[str(10**1000)] * 5)  # a bound of 5,001 digits
+        assert refused.returncode == 2 and refused.stdout == ""
+        limit = sys.get_int_max_str_digits()
+        assert refused.stderr == f"error: an integer has more than {limit} digits\n"
+
+
+class TestReportText:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "6", "3", "2", "--p", "2"],
+            ["analyze", "NET"],
+            ["analyze", "NET", "--layers"],
+            ["verify", "NET", "--samples", "5001", "--trials", "20", "--seed", "3"],
+        ],
+        ids=["bound", "analyze", "analyze-layers", "verify-trials"],
+    )
+    def test_text_and_json_are_one_source(self, argv, narrow_file, capsys):
+        argv = [narrow_file if arg == "NET" else arg for arg in argv]
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        lines = [line.split(": ", 1) for line in capsys.readouterr().out.splitlines()]
+        assert [key for key, _ in lines] == list(payload)
+        for key, text in lines:  # a string bare, any other value as JSON
+            value = payload[key]
+            assert (text if isinstance(value, str) else json.loads(text)) == value
 
 
 class TestBuild:
@@ -197,6 +241,35 @@ class TestBuild:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: construction produced 82 knots, expected 83\n"
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            ("output-knot", "output 0 cancelled a knot: 82 of 83 kept"),
+            ("grid-point", "construction produced 82 knots, expected 83"),
+        ],
+    )
+    def test_construction_checks_its_extraction(self, cut, message, monkeypatch, capsys):
+        import relu_knots.construct as construct_mod
+
+        def cut_extract(net):
+            trace = extract(net)
+            if cut == "output-knot":  # output 0 loses its first knot
+                (slope, c, knots, jumps), *rest = trace.outputs
+                return dataclasses.replace(trace, outputs=((slope, c, knots[1:], jumps[1:]), *rest))
+            # the last grid point goes, and every output's knot on it
+            nums, dens = trace.grids[-1]
+            return dataclasses.replace(
+                trace,
+                grids=(*trace.grids[:-1], (nums[:-1], dens[:-1])),
+                outputs=tuple((s, c, knots[:-1], jumps[:-1]) for s, c, knots, jumps in trace.outputs),
+            )
+
+        monkeypatch.setattr(construct_mod, "extract", cut_extract)
+        assert main(["build", "6", "3", "2", "--p", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_knot_limit_exits_2_before_building(self, monkeypatch, capsys):
         def no_build(arch):
@@ -352,14 +425,15 @@ class TestAnalyzeCsv:
     def test_layer_flag_text(self, narrow_file, capsys):
         assert main(["analyze", narrow_file, "--layers"]) == 0
         assert capsys.readouterr().out == (
-            "widths: 2 2   outputs: 1\n"
-            "per-layer knot counts: [2, 2]\n"
-            "output knots: 2\n"
-            "bound: 8   meets bound: False\n"
+            "widths: [2, 2]\n"
+            "p: 1\n"
+            "per_layer_knot_counts: [2, 2]\n"
+            "output_knot_count: 2\n"
+            "bound: 8\n"
+            "meets_bound: false\n"
             "tightness: not_tight\n"
-            "layer 1 knots: ['-1/2', '0']\n"
-            "layer 2 knots: ['-1/2', '0']\n"
-            "output knot locations: ['-1/2', '0']\n"
+            'per_layer_knots: [["-1/2", "0"], ["-1/2", "0"]]\n'
+            'output_knots: ["-1/2", "0"]\n'
         )
 
     def test_schema_violation_exits_2_with_path(self, tmp_path, capsys):
@@ -500,6 +574,43 @@ class TestDigitLimit:
         assert main(["analyze", long_knots_file, "--csv", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: an integer has more than ")
         assert out.read_text().startswith("output_index,")  # overwritten, not removed
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_bound_past_the_limit_exits_2(self, flags, capsys):
+        # five widths of 10^1000: a bound of 5,001 digits
+        assert main(["bound", *[str(10**1000)] * 5, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == f"error: an integer has more than {limit} digits\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze"],
+            ["analyze", "--json"],
+            ["analyze", "--csv"],
+            ["verify", "--trials", "1", "--samples", "101", "--json"],
+        ],
+        ids=["analyze-text", "analyze-json", "analyze-csv", "verify-trials-json"],
+    )
+    def test_deep_bound_past_the_limit_exits_2(self, argv, tmp_path, capsys):
+        # 2,200 layers of width 1: one knot, and a bound 2^2200 - 1 of 663 digits
+        path, out = tmp_path / "deep.json", tmp_path / "out.csv"
+        unit = {"weights": [["1"]], "biases": ["0"]}
+        path.write_text(json.dumps({"p": 1, "hidden_layers": [unit] * 2200, "output_layer": unit}))
+        argv = [argv[0], str(path), *argv[1:]] + ([str(out)] if "--csv" in argv else [])
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code = main(argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: an integer has more than 640 digits\n"
+        assert not out.exists()  # the report is refused before the CSV is begun
 
     def test_counts_alone_still_print(self, long_knots_file, capsys):
         assert main(["analyze", long_knots_file, "--json"]) == 0
@@ -691,9 +802,17 @@ class TestVerify:
         argv = ["verify", narrow_file, "--samples", "5001", "--trials", "100", "--seed", "3"]
         assert main(argv) == 0
         assert capsys.readouterr().out == (
-            "agree: detected 2, exact 2 (grid step 0.0006)\n"
-            "stress: max observed 6 of bound 8 over 100 trials (seed 3)\n"
-            "gap 2 below an unattainable bound (randomized search: evidence, not proof)\n"
+            'interval: ["-1", "2"]\n'
+            "samples: 5001\n"
+            "detected: 2\n"
+            "exact: 2\n"
+            "exact_outside_interval: 0\n"
+            "grid_step: 0.0006\n"
+            "max_location_error: 0.0001\n"
+            "agree: true\n"
+            "crowded: 0\n"
+            'stress: {"trials": 100, "seed": 3, "bound": 8, "max_observed": 6, "gap": 2, '
+            '"note": "randomized search: evidence, not proof"}\n'
         )
 
     def test_corrupted_extraction_exits_4(self, reference_file, monkeypatch, capsys):
@@ -810,7 +929,17 @@ class TestVerify:
         path = tmp_path / "steep.json"
         save_network(to_network(one_ramp(10**306, 0)), path)
         assert main(["verify", str(path), "--samples", "1001"]) == 0
-        assert capsys.readouterr().out == "agree: detected 1, exact 1 (grid step 0.002)\n"
+        assert capsys.readouterr().out == (
+            'interval: ["-1", "1"]\n'
+            "samples: 1001\n"
+            "detected: 1\n"
+            "exact: 1\n"
+            "exact_outside_interval: 0\n"
+            "grid_step: 0.002\n"
+            "max_location_error: 0.0\n"
+            "agree: true\n"
+            "crowded: 0\n"
+        )
 
     @settings(
         max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -841,6 +970,16 @@ class TestVerify:
         monkeypatch.setattr(cli, "stress_bound", broken)
         assert main(["verify", shallow_file, "--samples", "1001", "--trials", "1"]) == 1
         assert capsys.readouterr().err == "error: trial 0: 9 knots exceed the bound 8\n"
+
+    def test_stress_search_checks_the_bound(self, narrow_file, monkeypatch, capsys):
+        import relu_knots.verify as verify_mod
+
+        # the first (2, 2) network drawn from seed 0 has 3 knots
+        monkeypatch.setattr(verify_mod, "knot_bound", lambda arch: 2)
+        assert main(["verify", narrow_file, "--samples", "1001", "--trials", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bound violated: 3 > 2 for widths (2, 2) (seed 0, trial 0)\n"
 
     def test_oversized_sample_count_exits_2(self, reference_file):
         # refused before any grid point is computed; without a limit the run
