@@ -21,6 +21,7 @@ import contextlib
 import dataclasses
 import errno
 import json
+import math
 import os
 import re
 import sys
@@ -78,8 +79,30 @@ def write_spline_csv(trace: ExtractionTrace, path: str | Path) -> None:
     string or an infinity, and none holds a comma, a quote or a line break.
     A write that fails removes the file only if this call created it: a
     path that already named something (a file, a device, a pipe) stays.
+
+    A sawtooth's values and slopes take few levels, so each distinct value
+    cell (``value_rational,value_decimal``, keyed by the reduced pair) and
+    each distinct slope cell (keyed by its int over D) is formatted once
+    and kept until the file is closed; the x cells are formatted per row.
     """
     (nums, dens), den = trace.grids[-1], trace.denominator
+    value_cells: dict[tuple[int, int], str] = {}
+    slope_cells: dict[int, str] = {}
+
+    def value_cell(num: int, denom: int) -> str:
+        g = math.gcd(num, denom)
+        key = (num // g, denom // g)
+        cell = value_cells.get(key)
+        if cell is None:
+            cell = value_cells[key] = f"{format_ratio(*key)},{decimal_str(*key)}"
+        return cell
+
+    def slope_cell(slope: int) -> str:
+        cell = slope_cells.get(slope)
+        if cell is None:
+            cell = slope_cells[slope] = format_ratio(slope, den)
+        return cell
+
     try:
         handle, created = open(path, "x", newline=""), True
     except FileExistsError:
@@ -89,19 +112,15 @@ def write_spline_csv(trace: ExtractionTrace, path: str | Path) -> None:
             write = handle.write
             write(",".join(CSV_COLUMNS) + "\r\n")
             for k, (slope, c, knots, jumps) in enumerate(trace.outputs):
-                right = format_ratio(slope, den)
-                write(f"{k},-inf,-inf,{format_ratio(c, den)},{decimal_str(c, den)},{right},{right}\r\n")
+                right = slope_cell(slope)
+                write(f"{k},-inf,-inf,{value_cell(c, den)},{right},{right}\r\n")
                 for i, d in zip(knots, jumps):
                     p, q = nums[i], dens[i]
-                    value, value_den = slope * p + c * q, q * den
+                    value = value_cell(slope * p + c * q, q * den)
                     left, slope, c = right, slope + d, c - d * p // q
-                    right = format_ratio(slope, den)
-                    write(
-                        f"{k},{format_ratio(p, q)},{decimal_str(p, q)},"
-                        f"{format_ratio(value, value_den)},{decimal_str(value, value_den)},"
-                        f"{left},{right}\r\n"
-                    )
-                write(f"{k},+inf,inf,{format_ratio(c, den)},{decimal_str(c, den)},{right},{right}\r\n")
+                    right = slope_cell(slope)
+                    write(f"{k},{format_ratio(p, q)},{decimal_str(p, q)},{value},{left},{right}\r\n")
+                write(f"{k},+inf,inf,{value_cell(c, den)},{right},{right}\r\n")
     except BaseException:
         if created:  # only the regular file this call made, never a device or pipe
             with contextlib.suppress(OSError):
@@ -177,16 +196,18 @@ def cmd_build(args: argparse.Namespace) -> int:
             f"cannot attain the bound for widths {list(arch.widths)}: {reason}",
             EXIT_INELIGIBLE,
         )
+    # the bound and p x bound are printed with format_ratio(n, 1): str(n),
+    # or the digit-limit error when n is past Python's limit for printing
     bound = knot_bound(arch)
     if bound > KNOT_LIMIT:
         raise ValueError(
-            f"widths {list(arch.widths)} ask for {bound} knots, "
+            f"widths {list(arch.widths)} ask for {format_ratio(bound, 1)} knots, "
             f"above build's limit of {KNOT_LIMIT}"
         )
     if arch.output_dim * bound > 2 * KNOT_LIMIT:
         raise ValueError(
             f"{arch.output_dim} outputs at bound {bound} ask for "
-            f"{arch.output_dim * bound} knots, above build's limit of "
+            f"{format_ratio(arch.output_dim * bound, 1)} knots, above build's limit of "
             f"{2 * KNOT_LIMIT} over all outputs"
         )
     if args.out is not None:
@@ -206,6 +227,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     net = _on_file(args.network, load_network)
     if args.csv is not None:
         _on_file(args.csv, _output_directory)
+        if os.path.exists(args.csv) and os.path.samefile(args.csv, args.network):
+            raise ValueError(f"{args.csv}: is the network file")
     trace = extract(net)
     grids, output_knots = trace.grids, trace.output_knot_indices
     arch = net.architecture
