@@ -36,15 +36,18 @@ def splines(draw, max_breakpoints: int = 6) -> LinearSpline:
 
 
 @st.composite
-def network_layers(draw, min_depth: int = 1, min_width: int = 1, max_width: int = 3):
+def network_layers(
+    draw, min_depth: int = 1, min_width: int = 1, max_width: int = 3, values=coefficients
+):
     """(weights, biases) lists of min_depth-3 hidden layers of width
-    min_width to max_width, then of an output layer of width 1-2."""
+    min_width to max_width, then of an output layer of width 1-2, every
+    entry drawn from ``values``."""
     widths = draw(st.lists(st.integers(min_width, max_width), min_size=min_depth, max_size=3))
     shapes = list(zip(widths + [draw(st.integers(1, 2))], [1] + widths))
     return [
         (
-            [[draw(coefficients) for _ in range(cols)] for _ in range(rows)],
-            [draw(coefficients) for _ in range(rows)],
+            [[draw(values) for _ in range(cols)] for _ in range(rows)],
+            [draw(values) for _ in range(rows)],
         )
         for rows, cols in shapes
     ]

@@ -42,7 +42,7 @@ from relu_knots import (
     save_network,
     to_forward_facing,
 )
-from relu_knots import cli, network
+from relu_knots import cli, network, rational
 from relu_knots.cli import main
 from relu_knots.construct import build_tight_network, example_tight_network
 from relu_knots.rational import format_ratio
@@ -586,6 +586,23 @@ class TestDigitLimit:
 
     @pytest.mark.parametrize(
         "argv",
+        [[str(10**1000)] * 5, ["6", "3", "2", "--p", str(10**4299)]],
+        ids=["bound", "outputs-times-bound"],
+    )
+    def test_build_past_the_limit_exits_2(self, argv, monkeypatch, capsys):
+        # a bound of 5,001 digits, and 83 x 10^4299 knots over all outputs
+        def no_build(arch):
+            raise AssertionError("built a network above the knot limit")
+
+        monkeypatch.setattr(cli, "build_tight_network", no_build)
+        assert main(["build", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == f"error: an integer has more than {limit} digits\n"
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ["analyze"],
             ["analyze", "--json"],
@@ -633,6 +650,16 @@ class TestSplineCsv:
     def test_matches_fraction_reference(self, layers, tmp_path):
         assert self.same_as_reference(to_network(layers), tmp_path)
 
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(layers=network_layers(max_width=4, values=st.integers(-2, 2)), repeat=st.booleans())
+    def test_repeating_cells_match_fraction_reference(self, layers, repeat, tmp_path):
+        # small integer weights and biases repeat values and slopes within
+        # an output; a repeated output row repeats every cell across outputs
+        if repeat:
+            weights, biases = layers[-1]
+            layers[-1] = (weights + weights[:1], biases + biases[:1])
+        assert self.same_as_reference(to_network(layers), tmp_path)
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -643,6 +670,9 @@ class TestSplineCsv:
             integer_knots,
             exponent_decimals,
             zero_valued_knots,
+            lambda: build_tight_network(Architecture((8, 8, 8), output_dim=2)),
+            lambda: build_tight_network(Architecture((6, 6, 6, 6), output_dim=2)),
+            lambda: build_tight_network(Architecture((4, 4), output_dim=3)),
         ],
         ids=[
             "intercept-beyond-jump-denominators",
@@ -652,6 +682,9 @@ class TestSplineCsv:
             "integer-knots",
             "exponent-decimals",
             "zero-valued-knots",
+            "built-8-8-8-p=2",
+            "built-6-6-6-6-p=2",
+            "built-4-4-p=3",
         ],
     )
     def test_named_cases(self, make, tmp_path):
@@ -684,6 +717,28 @@ class TestSplineCsv:
             b"left_slope_rational,right_slope_rational\r\n"
             b"0,-inf,-inf,-17/6,-2.8333333333333333333,-7,-7\r\n"
         )
+
+    def test_formats_each_value_cell_once(self, tmp_path, monkeypatch):
+        # one decimal division per knot row's x, and one per distinct value
+        # cell; the two ray rows of each output allow 2p more
+        trace = extract(build_tight_network(Architecture((8, 8, 8), output_dim=2)))
+        divisions = [0]
+
+        class CountingContext:
+            def divide(self, num, den):
+                divisions[0] += 1
+                return context.divide(num, den)
+
+        context = rational._DECIMAL
+        monkeypatch.setattr(rational, "_DECIMAL", CountingContext())
+        path = tmp_path / "splines.csv"
+        cli.write_spline_csv(trace, path)
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        knot_rows = sum(len(knots) for _, _, knots, _ in trace.outputs)
+        values = {row["value_rational"] for row in rows}
+        assert (knot_rows, len(values)) == (1456, 24)
+        assert divisions[0] <= knot_rows + len(values) + 2 * len(trace.outputs)
 
     def test_writes_without_rational_arithmetic(self, tmp_path, monkeypatch):
         trace = extract(build_tight_network(Architecture((6, 6, 6, 6), output_dim=2)))
@@ -766,6 +821,29 @@ class TestUnwritableOutput:
         assert captured.out == ""
         assert captured.err == f"error: {target}: {os.strerror(code)}\n"
         assert not Path(target).is_file() and (tmp_path / "a-file").read_text() == ""
+
+    @pytest.mark.parametrize("link", [None, "symlink", "hardlink"], ids=["same-path", "symlink", "hard-link"])
+    def test_csv_onto_the_network_refused_before_extracting(
+        self, link, reference_file, tmp_path, monkeypatch, capsys
+    ):
+        def no_extract(net):
+            raise AssertionError("extracted for a CSV that would replace its network")
+
+        monkeypatch.setattr(cli, "extract", no_extract)
+        target = Path(reference_file)
+        if link is not None:
+            target = tmp_path / "network.csv"
+            if link == "symlink":
+                target.symlink_to(reference_file)
+            else:
+                os.link(reference_file, target)
+        before = Path(reference_file).read_bytes()
+        assert main(["analyze", reference_file, "--csv", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {target}: is the network file\n"
+        assert Path(reference_file).read_bytes() == before
+        assert load_network(reference_file).widths == (6, 3, 2)
 
 
 BIG = 10**400
