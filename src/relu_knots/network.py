@@ -16,9 +16,11 @@ asks one question at every knot of a unit: the sign of its value there. At
 p/q a layer-i value v gives an integer N = v*D_i*q, the numerator
 ``evaluate`` reaches at p/q over q*D_i. So ``_relu`` walks each unit's
 knots in ints, with an exact floor division per knot, and appends each new
-root as a reduced int pair; ``_regrid`` places the roots by cross-multiplying.
-The walk builds no rational: ``ExtractionTrace`` keeps the grids in ints
-and builds ``Fraction``s only when they are read.
+root as a reduced int pair. ``_regrid`` sorts a layer's roots once by their
+floats, orders the roots whose floats are equal exactly, and merges them
+into the grid in one pass, cross-multiplying. The walk builds no
+rational: ``ExtractionTrace`` keeps the grids in ints and builds
+``Fraction``s only when they are read.
 
 ``_combine`` sums a row's slope jumps in one list over the grid below, so a
 row costs O(|U_{i-1}|) plus the knots of the units it weights. Every grid
@@ -32,9 +34,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, compress
-from math import gcd, lcm
-from operator import mul
+from itertools import chain, compress, groupby, islice
+from math import gcd, inf, lcm
+from operator import eq, mul
 
 from .bounds import Architecture
 from .rational import Rational, RationalLike, as_rational, over_lcd
@@ -43,8 +45,8 @@ from .spline import LinearSpline
 # the most knots a hidden layer may have in ``extract``, and the largest
 # bound ``build`` constructs: (45, 45, 45) has 97,335 knots, the longest
 # grid ``_combine`` sums over, and ``relu-knots build 45 45 45 --p 2`` run
-# as a subprocess takes 0.43 to 0.75 s of wall time and peaks at 55.3 to
-# 55.7 MB resident (8 runs, Python 3.11, 2 shared x86 cores)
+# as a subprocess takes 0.34 to 0.45 s of wall time and peaks at 51.3 to
+# 51.4 MB resident (8 runs, Python 3.11, 2 shared x86 cores)
 KNOT_LIMIT = 100_000
 
 
@@ -276,10 +278,8 @@ class ExtractionTrace:
         return list(self.output_knots)
 
 
-# A new ReLU root: a and b of its location a/b (reduced, b > 0), and the
-# grid range [lo, hi) of the points strictly between the neighbouring knots
-# of its unit.
-_Root = tuple[int, int, int, int]
+# A new ReLU root: a and b of its location a/b, reduced with b > 0.
+_Root = tuple[int, int]
 
 
 def _combine(row: tuple[int, ...], units: list[_Unit], bias: int, points: list[int]) -> _Unit:
@@ -305,8 +305,8 @@ def _relu(
 ) -> _Unit:
     """``max(0, unit)`` on the grid of points nums[k]/dens[k]. A knot keeps
     its grid index. A root where the unit strictly changes sign is appended
-    to ``roots`` and keyed by len(nums) + its position there, until
-    ``_regrid`` places it.
+    to ``roots`` as its reduced pair (a, b) alone, and keyed by len(nums) +
+    its position there until ``_regrid`` places it.
 
     At a knot with value v, the one-sided slopes of the output are those of
     the unit where it is positive on that side, else 0, and the knot stays
@@ -321,7 +321,8 @@ def _relu(
     value is N/q with N = S*p + c*q, the numerator ``evaluate`` reaches at
     p/q over q*D_i, and its sign is N's. Past a knot with jump d the
     intercept is c - d*p/q, an int again; as p and q are coprime, q divides
-    d and the // is exact. A root is -c/S, kept as a reduced int pair.
+    d and the // is exact. A root is -c/S: (-c/g, S/g) with g = gcd(c, S)
+    where the unit rises through 0 (S > 0), and (c/g, -S/g) where it falls.
     """
     slope, intercept, knots, deltas = unit
     n = len(nums)
@@ -331,28 +332,27 @@ def _relu(
     out_knots: list[int] = []
     out_jumps: list[int] = []
 
-    def root(lo: int, hi: int) -> None:  # -c/slope, on the current piece
-        out_knots.append(n + len(roots))
-        out_jumps.append(abs(slope))
-        p, q = (-c, slope) if slope > 0 else (c, -slope)
-        g = gcd(p, q)
-        roots.append((p // g, q // g, lo, hi))
-
     # the sign at -inf (0 where the unit is flat there): a change of sign at
     # the first knot is the root on the left ray
-    prev_k, c, prev_sign = -1, intercept, (slope < 0) - (slope > 0)
+    prev_sign, c = (slope < 0) - (slope > 0), intercept
     for k, d in zip(knots, deltas):
         p, q = nums[k], dens[k]
         v = slope * p + c * q
         if v > 0:
-            if prev_sign < 0:
-                root(prev_k + 1, k)
+            if prev_sign < 0:  # rising through 0: a root at -c/slope
+                out_knots.append(n + len(roots))
+                out_jumps.append(slope)
+                g = gcd(c, slope)
+                roots.append((-c // g, slope // g))
             out_knots.append(k)
             out_jumps.append(d)
             prev_sign = 1
         elif v < 0:
-            if prev_sign > 0:
-                root(prev_k + 1, k)
+            if prev_sign > 0:  # falling through 0: a root at c/-slope
+                out_knots.append(n + len(roots))
+                out_jumps.append(-slope)
+                g = gcd(c, slope)
+                roots.append((c // g, -slope // g))
             prev_sign = -1
         else:
             out_left = slope if slope < 0 else 0
@@ -361,10 +361,45 @@ def _relu(
                 out_knots.append(k)
                 out_jumps.append(out_right - out_left)
             prev_sign = 0
-        prev_k, c, slope = k, c - d // q * p, slope + d
+        c, slope = c - d // q * p, slope + d
     if prev_sign * slope < 0:  # the root on the right ray
-        root(prev_k + 1, n)
+        out_knots.append(n + len(roots))
+        out_jumps.append(abs(slope))
+        g = gcd(c, slope)
+        roots.append((-c // g, slope // g) if slope > 0 else (c // g, -slope // g))
     return out_slope, out_intercept, out_knots, out_jumps
+
+
+def _float_at(a: int, b: int) -> float:
+    """a/b rounded to a float, or -inf or inf by a's sign where that overflows."""
+    try:
+        return a / b
+    except OverflowError:
+        return -inf if a < 0 else inf
+
+
+def _ascending(roots: list[_Root]) -> list[int]:
+    """The positions of ``roots`` in ascending order of a/b: sorted by float
+    (see ``_regrid``), and each run of equal floats by its numerators over
+    the run's least common denominator. The floats are freed on return,
+    before ``_regrid`` builds the next grid."""
+    try:
+        at = [a / b for a, b in roots]
+    except OverflowError:
+        at = [_float_at(a, b) for a, b in roots]
+    order = sorted(range(len(roots)), key=at.__getitem__)
+    ordered = [at[r] for r in order]
+    if any(map(eq, ordered, islice(ordered, 1, None))):
+        start = 0
+        for _, run in groupby(ordered):
+            end = start + sum(1 for _ in run)
+            if end - start > 1:
+                lcd = lcm(*(roots[r][1] for r in order[start:end]))
+                order[start:end] = sorted(
+                    order[start:end], key=lambda r: roots[r][0] * (lcd // roots[r][1])
+                )
+            start = end
+    return order
 
 
 def _regrid(
@@ -372,11 +407,16 @@ def _regrid(
 ) -> tuple[_Grid, list[int], list[_Unit]]:
     """The next grid, its indices ``points`` and the units re-keyed onto it.
 
-    Each root a/b joins the cell of the first point of its range at or
-    right of it, found by bisection comparing p*b < a*q at a grid point
-    p/q. A cell's roots, ordered by their numerators over the cell's least
-    common denominator, and then its point, if a unit still uses it, are
-    placed in turn, and one equal to the last point placed merges with it.
+    The roots are sorted once by the float of a/b. Python rounds an int
+    division correctly, and rounding is monotone, so of two roots the one
+    with the smaller float is the smaller: float order decides every pair
+    but those whose floats are equal (roots that coincide, that lie within
+    an ulp, or whose quotients overflow to the same infinity), and each run
+    of equal floats is sorted exactly, by numerators over the run's least
+    common denominator. One pass then merges the roots with the grid points
+    that a unit still uses, cross-multiplying: before each root a/b come
+    the points p/q with p*b <= a*q, and the rest follow the last root. A
+    root equal to the last pair placed, a point or a root, merges with it.
     Grid points that no unit uses any more are dropped, so every point is a
     knot of some unit, which bounds ``_combine``'s walk over the grid.
 
@@ -391,39 +431,34 @@ def _regrid(
         for k in knots:
             if k < n:
                 used[k] = True
-    cells: dict[int, list[int]] = {}  # the keys of new roots, by grid cell
-    for r, (a, b, lo, hi) in enumerate(roots, start=n):
-        t, end = lo, hi
-        while t < end:  # the first point of the range at or right of a/b
-            mid = (t + end) // 2
-            if nums[mid] * b < a * dens[mid]:
-                t = mid + 1
-            else:
-                end = mid
-        cells.setdefault(t, []).append(r)
+    order = _ascending(roots)
     key = [0] * (n + len(roots))  # old grid index or root key -> new index
     new_nums: list[int] = []
     new_dens: list[int] = []
     points: list[int] = []  # the new indices, one int object per point
-    for t in range(n + 1):
-        cell = cells.get(t)
-        if cell:
-            if len(cell) > 1:
-                lcd = lcm(*(roots[r - n][1] for r in cell))
-                cell.sort(key=lambda r: roots[r - n][0] * (lcd // roots[r - n][1]))
-            for r in cell:
-                a, b, _, _ = roots[r - n]
-                if not new_nums or new_nums[-1] != a or new_dens[-1] != b:
-                    points.append(len(new_nums))
-                    new_nums.append(a)
-                    new_dens.append(b)
-                key[r] = points[-1]
-        if t < n and used[t]:
-            if not new_nums or new_nums[-1] != nums[t] or new_dens[-1] != dens[t]:
-                points.append(len(new_nums))
-                new_nums.append(nums[t])
-                new_dens.append(dens[t])
+    kept = [(nums[t], dens[t], t) for t in range(n) if used[t]]
+    kept.append((1, 0, n))  # +inf: p*b <= a*q never holds with q = 0 < b
+    i = 0
+    p, q, t = kept[0]
+    for r in order:
+        a, b = roots[r]
+        while p * b <= a * q:  # the points at or left of a/b come first
+            points.append(len(new_nums))
+            new_nums.append(p)
+            new_dens.append(q)
             key[t] = points[-1]
+            i += 1
+            p, q, t = kept[i]
+        if not new_nums or new_nums[-1] != a or new_dens[-1] != b:  # else it merges
+            points.append(len(new_nums))
+            new_nums.append(a)
+            new_dens.append(b)
+        key[n + r] = points[-1]
+    for p, q, t in kept[i:-1]:
+        points.append(len(new_nums))
+        new_nums.append(p)
+        new_dens.append(q)
+        key[t] = points[-1]
     units = [(s, c, [key[k] for k in knots], d) for s, c, knots, d in units]
     return (tuple(new_nums), tuple(new_dens)), points, units
 

@@ -513,15 +513,19 @@ class TestExtractAgainstReference:
     """``extract`` against ``reference_extract``, the unit-by-unit
     ``relu``/``affine_combine`` loop, on the cases where a knot is shared."""
 
+    @staticmethod
+    def assert_grids_reduced_ascending(trace) -> None:
+        for nums, dens in trace.grids:
+            assert all(q > 0 and gcd(p, q) == 1 for p, q in zip(nums, dens))
+            assert all(p * s < r * q for p, q, r, s in zip(nums, dens, nums[1:], dens[1:]))
+
     @given(layers=small_integer_layers())
     def test_int_grids_are_reduced_ascending_unions(self, layers):
         net = to_network(layers)
-        grids = extract(net).grids
-        for nums, dens in grids:
-            assert all(q > 0 and gcd(p, q) == 1 for p, q in zip(nums, dens))
-            assert all(p * s < r * q for p, q, r, s in zip(nums, dens, nums[1:], dens[1:]))
+        trace = extract(net)
+        self.assert_grids_reduced_ascending(trace)
         unions = reference_extract(net)[0]
-        assert [list(zip(*grid)) for grid in grids] == [
+        assert [list(zip(*grid)) for grid in trace.grids] == [
             [(x.numerator, x.denominator) for x in union] for union in unions
         ]
 
@@ -546,6 +550,49 @@ class TestExtractAgainstReference:
         trace = extract(net)
         assert knot in trace.per_layer_knot_union[1]
         assert same_as_reference(net, trace)
+        assert_exact_between_knots(net, trace)
+
+    # Ramp starts whose roots round to the same float (1 - 2^-62, 1,
+    # 1 + 2^-61 and 1 + 2^-60 all round to 1.0) or overflow a float
+    # (+-10^400 and 10^400 + 1), so their order is decided exactly.
+    FLOAT_TIES = (1 - Q(1, 2**62), 1, 1 + Q(1, 2**61), 1 + Q(1, 2**60), 10**400, -(10**400),
+                  10**400 + 1)
+
+    # The units in this order and reversed, the next layer's columns with
+    # them: an order by float alone, stable in the order the roots are
+    # found, gets one of the two wrong.
+    @pytest.mark.parametrize("step", [1, -1], ids=["given", "reversed"])
+    def test_roots_whose_floats_tie_or_overflow(self, step, tmp_path, capsys):
+        first = DenseLayer([[1]] * 7, [-k for k in self.FLOAT_TIES[::step]])
+        second = DenseLayer([[1, -1, 2, 1, 1, -3, 1][::step], [1] * 7], [Q(-1, 3), -5])
+        net = ScalarInputNetwork((first, second), DenseLayer([[1, 2]], [0]))
+        trace = extract(net)
+        self.assert_grids_reduced_ascending(trace)
+        assert same_as_reference(net, trace)
+        assert_exact_between_knots(net, trace)
+        path = tmp_path / "ties.json"
+        save_network(net, path)
+        assert main(["analyze", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["per_layer_knot_counts"] == [7, 8]
+        assert payload["output_knot_count"] == 8
+
+    # ramp starts 2^-60 apart, past the largest float and below the smallest
+    NEAR_TIES = st.integers(-4, 4).map(lambda k: 1 + Q(k, 2**60)) | st.sampled_from(
+        [10**400, -(10**400), 10**400 + 1, 0, Q(1, 10**400), Q(-1, 10**400)]
+    )
+
+    @given(starts=st.lists(NEAR_TIES, min_size=2, max_size=6), data=st.data())
+    def test_roots_near_one_and_beyond_floats(self, starts, data):
+        # The second layer's roots between such ramps tie as floats too.
+        weight = st.integers(-3, 3)
+        rows = [[data.draw(weight) for _ in starts] for _ in range(3)]
+        biases = [data.draw(st.fractions(-3, 3, max_denominator=7)) for _ in rows]
+        first = DenseLayer([[1]] * len(starts), [-k for k in starts])
+        second = DenseLayer(rows, biases)
+        net = ScalarInputNetwork((first, second), DenseLayer([[1, -2, 3]], [0]))
+        trace = extract(net)
+        self.assert_grids_reduced_ascending(trace)
         assert_exact_between_knots(net, trace)
 
     # A second-layer unit over relu(x), relu(-x), relu(x - 1) and
